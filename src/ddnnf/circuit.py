@@ -27,6 +27,10 @@ class Node:
     varset: frozenset[int] = frozenset()
 
 
+_TRUE_KEY, _FALSE_KEY = (TRUE,), (FALSE,)
+_TRUE_NODE, _FALSE_NODE = Node(TRUE), Node(FALSE)
+
+
 class Circuit:
     """Single-rooted DAG of AND/OR/literal/constant nodes.
 
@@ -52,41 +56,45 @@ class Circuit:
     def node(self, nid: int) -> Node:
         return self._nodes[nid]
 
-    def _intern(self, key: tuple, node: Node) -> int:
-        nid = self._dedup.get(key)
-        if nid is None:
-            nid = len(self._nodes)
-            self._nodes.append(node)
-            self._dedup[key] = nid
+    def _append(self, key: tuple, node: Node) -> int:
+        nid = len(self._nodes)
+        self._nodes.append(node)
+        self._dedup[key] = nid
         return nid
 
+    # Every lookup comes before any Node is built: most calls find the node.
+
     def add_true(self) -> int:
-        return self._intern((TRUE,), Node(TRUE))
+        nid = self._dedup.get(_TRUE_KEY)
+        return self._append(_TRUE_KEY, _TRUE_NODE) if nid is None else nid
 
     def add_false(self) -> int:
-        return self._intern((FALSE,), Node(FALSE))
+        nid = self._dedup.get(_FALSE_KEY)
+        return self._append(_FALSE_KEY, _FALSE_NODE) if nid is None else nid
 
     def add_literal(self, lit: int) -> int:
+        key = (LIT, lit)
+        nid = self._dedup.get(key)
+        if nid is not None:
+            return nid
         var = abs(lit)
         if lit == 0 or var not in self.universe:
             raise ValueError(f"literal {lit} outside universe")
-        return self._intern((LIT, lit), Node(LIT, lit=lit, varset=frozenset((var,))))
+        return self._append(key, Node(LIT, lit=lit, varset=frozenset((var,))))
 
     def _add_internal(self, kind: str, children, decision: int = 0) -> int:
         kids = tuple(sorted(children))
         if not kids:
             raise ValueError(f"{kind} node needs children")
-        for c in kids:
-            if not 0 <= c < len(self._nodes):
-                raise ValueError(f"unknown child id {c}")
         key = (kind, kids)
         nid = self._dedup.get(key)
-        if nid is None:
-            varset = frozenset().union(*(self._nodes[c].varset for c in kids))
-            nid = len(self._nodes)
-            self._nodes.append(Node(kind, children=kids, decision=decision, varset=varset))
-            self._dedup[key] = nid
-        return nid
+        if nid is not None:
+            return nid
+        if kids[0] < 0 or kids[-1] >= len(self._nodes):
+            bad = next(c for c in kids if not 0 <= c < len(self._nodes))
+            raise ValueError(f"unknown child id {bad}")
+        varset = frozenset().union(*(self._nodes[c].varset for c in kids))
+        return self._append(key, Node(kind, children=kids, decision=decision, varset=varset))
 
     def add_and(self, children) -> int:
         return self._add_internal(AND, children)

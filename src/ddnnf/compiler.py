@@ -6,8 +6,11 @@ from __future__ import annotations
 
 import random
 import warnings
-from collections import Counter
+from collections import defaultdict
+from collections.abc import Generator
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from sys import maxsize
 
 from .circuit import AND, FALSE, TRUE, Circuit, check_decomposable
 from .cnf import Clause, CnfInstance
@@ -52,10 +55,12 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
     result is deterministic by construction; ANDs combine variable-disjoint
     components and propagated unit literals, so it is decomposable. Variables
     in no clause stay out of the circuit and are handled by counting via the
-    declared universe.
+    declared universe. The search runs on an explicit stack, so its depth is
+    not bounded by Python's recursion limit.
     """
     cfg = config or CompileConfig()
     explicit = _explicit_order(cfg, cnf.num_vars)
+    rank = None if explicit is None else {v: i for i, v in enumerate(explicit)}
     circuit = Circuit(
         universe=range(1, cnf.num_vars + 1),
         tseitin_vars=cnf.tseitin_vars,
@@ -64,17 +69,13 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
     cache: dict[ComponentKey, int] | None = {} if cfg.cache_enabled else None
     decisions = 0
 
-    def pick_var(clauses: tuple[Clause, ...]) -> int:
-        present = {abs(l) for c in clauses for l in c}
-        if explicit is not None:
-            for v in explicit:
-                if v in present:
-                    return v
-            return min(present)
+    def pick_var(occ: dict[int, list[int]]) -> int:
+        if rank is not None:
+            ranked = [v for v in occ if v in rank]
+            return min(ranked, key=rank.__getitem__) if ranked else min(occ)
         if cfg.order == "dynamic":
-            occurrences = Counter(abs(l) for c in clauses for l in c)
-            return max(occurrences, key=lambda v: (occurrences[v], -v))
-        return min(present)
+            return max(occ, key=lambda v: (len(occ[v]), -v))
+        return min(occ)
 
     def mk_and(parts: list[int]) -> int:
         merged: dict[int, None] = {}
@@ -95,14 +96,18 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
             return next(iter(merged))
         return circuit.add_and(merged)
 
-    def branch(clauses: tuple[Clause, ...]) -> int:
+    def branch(clauses: tuple[Clause, ...]):
         nonlocal decisions
         decisions += 1
         if cfg.max_decisions is not None and decisions > cfg.max_decisions:
             raise CompileBudgetError(f"decision budget {cfg.max_decisions} exceeded")
-        v = pick_var(clauses)
-        hi = rec(_condition(clauses, v))
-        lo = rec(_condition(clauses, -v))
+        occ = _occurrences(clauses)
+        v = pick_var(occ)
+        hi_task = rec(_propagate(clauses, occ, v))
+        lo_task = rec(_propagate(clauses, occ, -v))
+        del occ  # a deep stack keeps only the pending residual clauses alive
+        hi = yield hi_task
+        lo = yield lo_task
         children = []
         if circuit.node(hi).kind != FALSE:
             children.append(mk_and([circuit.add_literal(v), hi]))
@@ -114,22 +119,47 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
             return children[0]
         return circuit.add_or(children, decision=v)
 
-    def rec(clauses: tuple[Clause, ...]) -> int:
-        units, residual, conflict = _unit_propagate(clauses)
-        if conflict:
+    def rec(split: _Split | None):
+        if split is None:
             return circuit.add_false()
+        units, components = split
         parts = [circuit.add_literal(l) for l in units]
-        for comp in _components(residual):
-            nid = cache.get(component_key(comp)) if cache is not None else None
-            if nid is None:
-                nid = branch(comp)
-                if cache is not None:
-                    cache[component_key(comp)] = nid
+        for comp in components:
+            if cache is None:
+                nid = yield branch(comp)
+            else:
+                key = component_key(comp)
+                nid = cache.get(key)
+                if nid is None:
+                    nid = cache[key] = yield branch(comp)
             parts.append(nid)
         return mk_and(parts)
 
-    circuit.set_root(rec(cnf.clauses))
+    root_split = _propagate(cnf.clauses, _occurrences(cnf.clauses), 0)
+    try:
+        circuit.set_root(_run(rec(root_split)))
+    finally:
+        # branch and rec refer to each other; breaking that cycle frees the
+        # cache and the circuit now, not when the cycle collector next runs.
+        del branch, rec
     return circuit
+
+
+def _run(task: Generator) -> int:
+    # Drives generator-based recursion on an explicit stack: a task yields a
+    # subtask, and is resumed with the subtask's return value.
+    stack = [task]
+    result = None
+    while stack:
+        try:
+            subtask = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(subtask)
+            result = None
+    return result
 
 
 def _explicit_order(cfg: CompileConfig, num_vars: int) -> tuple[int, ...] | None:
@@ -150,55 +180,105 @@ def _explicit_order(cfg: CompileConfig, num_vars: int) -> tuple[int, ...] | None
     raise ValueError(f"unknown branch order {cfg.order!r}")
 
 
-def _condition(clauses: tuple[Clause, ...], lit: int) -> tuple[Clause, ...]:
-    out = []
-    for c in clauses:
-        if lit in c:
-            continue
-        if -lit in c:
-            out.append(tuple(l for l in c if l != -lit))
-        else:
-            out.append(c)
-    return tuple(out)
+# Propagated unit literals, and the residual components in branching order.
+_Split = tuple[list[int], list[tuple[Clause, ...]]]
+
+# Clause states in _propagate besides open (0): satisfied, and open but
+# already placed in a component.
+_SATISFIED, _PLACED = 1, 2
 
 
-def _unit_propagate(clauses: tuple[Clause, ...]):
-    units: dict[int, None] = {}
-    current = clauses
-    while True:
-        unit = None
-        for c in current:
-            if not c:
-                return (), (), True
-            if unit is None and len(c) == 1:
-                unit = c[0]
-        if unit is None:
-            return tuple(units), current, False
-        units[unit] = None
-        current = _condition(current, unit)
-
-
-def _components(clauses: tuple[Clause, ...]) -> list[tuple[Clause, ...]]:
-    parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for c in clauses:
+def _occurrences(clauses: tuple[Clause, ...]) -> dict[int, list[int]]:
+    """Variable -> positions of the clauses mentioning it, one entry per
+    literal occurrence (so a clause repeating a literal is listed twice)."""
+    occ: dict[int, list[int]] = defaultdict(list)
+    for i, c in enumerate(clauses):
         for l in c:
-            parent.setdefault(abs(l), abs(l))
-        for l in c[1:]:
-            ra, rb = find(abs(c[0])), find(abs(l))
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[int, list[Clause]] = {}
-    for c in clauses:
-        groups.setdefault(find(abs(c[0])), []).append(c)
-    ordered = sorted(groups.values(), key=lambda g: min(abs(l) for c in g for l in c))
-    return [tuple(g) for g in ordered]
+            occ[abs(l)].append(i)
+    return occ
+
+
+def _propagate(clauses: tuple[Clause, ...], occ: dict[int, list[int]], lit: int) -> _Split | None:
+    """Condition ``clauses`` on ``lit`` (0: on nothing), unit-propagate to a
+    fixpoint and split the residual clauses into variable-disjoint
+    components. Returns None on a conflict.
+
+    The result is what conditioning the clause tuple on one unit at a time
+    gives, taking the first unit clause in clause order each time: a heap of
+    clause positions yields the units in that order, and each clause keeps
+    a count of its literals not yet falsified. Each component lists its
+    residual clauses in input order, literals in place; the components are
+    sorted by their smallest variable. ``lit`` is not among the units.
+    """
+    m = len(clauses)
+    state = bytearray(m)
+    remaining = list(map(len, clauses))
+    true: set[int] = set()
+    units: list[int] = []
+
+    def assign(u: int) -> bool:
+        true.add(u)
+        for i in occ[abs(u)]:
+            if state[i]:
+                continue
+            if u in clauses[i]:
+                state[i] = _SATISFIED
+                continue
+            remaining[i] -= 1
+            if remaining[i] == 1:
+                heappush(heap, i)
+            elif not remaining[i]:
+                return False
+        return True
+
+    if 0 in remaining:
+        return None
+    heap = [i for i, n in enumerate(remaining) if n == 1]  # ascending: a heap
+    if lit and not assign(lit):
+        return None
+    while heap:
+        i = heappop(heap)
+        if state[i]:
+            continue
+        for u in clauses[i]:
+            if -u not in true:
+                break
+        units.append(u)
+        if not assign(u):
+            return None
+
+    # Breadth-first search over variable -> clause lists; assigned variables
+    # count as seen, so it never crosses a falsified literal.
+    seen = {abs(u) for u in true}
+    found: list[tuple[int, tuple[Clause, ...]]] = []
+    for start in range(m):
+        if state[start]:
+            continue
+        state[start] = _PLACED
+        members = [start]
+        low = maxsize
+        for j in members:
+            for l in clauses[j]:
+                x = abs(l)
+                if x in seen:
+                    continue
+                seen.add(x)
+                if x < low:
+                    low = x
+                for k in occ[x]:
+                    if not state[k]:
+                        state[k] = _PLACED
+                        members.append(k)
+        members.sort()
+        comp = []
+        for j in members:
+            c = clauses[j]
+            if remaining[j] != len(c):
+                c = tuple(l for l in c if -l not in true)
+            comp.append(c)
+        found.append((low, tuple(comp)))
+    found.sort(key=lambda entry: entry[0])
+    return units, [comp for _, comp in found]
 
 
 # ---------------------------------------------------------------------------

@@ -128,17 +128,20 @@ def prune(circuit: Circuit, verify: bool = False) -> tuple[Circuit, PruneReport]
 
     counts = annotate_counts(circuit)
     roots = detect_artifacts(circuit, counts)
+    # A degenerate root (a gate-variable literal or true) becomes true under
+    # quantification anyway, so only AND/OR roots can change the rebuild.
+    internal = frozenset(nid for nid in roots if circuit.node(nid).kind in (AND, OR))
     exists_only = _rebuild(circuit, xs, frozenset())
-    pruned = _rebuild(circuit, xs, frozenset(roots))
-    internal = sum(1 for nid in roots if circuit.node(nid).kind in (AND, OR))
+    pruned = _rebuild(circuit, xs, internal) if internal else exists_only
+    size_after_exists = size(exists_only)
     report = PruneReport(
         size_before=before,
-        size_after_exists=size(exists_only),
-        size_after_artifacts=size(pruned),
+        size_after_exists=size_after_exists,
+        size_after_artifacts=size(pruned) if internal else size_after_exists,
         artifacts_found=len(roots),
         artifact_node_ids=sorted(roots),
-        artifacts_internal=internal,
-        artifacts_degenerate=len(roots) - internal,
+        artifacts_internal=len(internal),
+        artifacts_degenerate=len(roots) - len(internal),
     )
     if not report.size_after_artifacts <= report.size_after_exists <= before:
         raise PruneVerificationError(f"size regression: {report.summary()}")

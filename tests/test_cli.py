@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ddnnf
 from ddnnf.cli import main
 
 FORMULA = "(a & b) | (c & d)\n"
@@ -115,6 +121,21 @@ class TestCompilePruneCount:
             assert code == 0
             code, out, _ = _run(capsys, "count", str(workspace / "f.nnf"))
             assert out.strip() == "7"
+
+    def test_long_chain_compiles_without_traceback(self, tmp_path):
+        # 800 decision levels in input order: more than Python's default
+        # recursion limit allows a recursive search.
+        n = 800
+        cnf = tmp_path / "chain.cnf"
+        cnf.write_text(f"p cnf {n} {n - 1}\n" + "".join(f"-{i} {i + 1} 0\n" for i in range(1, n)))
+        env = dict(os.environ, PYTHONPATH=str(Path(ddnnf.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ddnnf", "compile", str(cnf)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert main(["count", str(tmp_path / "chain.nnf")]) == 0
 
     def test_rerun_is_idempotent(self, workspace, capsys):
         _full_pipeline(workspace, capsys)

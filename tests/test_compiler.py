@@ -1,10 +1,14 @@
+import gc
+import hashlib
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 
 from ddnnf import (
     CnfInstance,
+    tseitin_transform,
     check_decomposable,
     check_deterministic_oracle,
     model_count,
@@ -20,6 +24,7 @@ from ddnnf.compiler import (
     compile,
     component_key,
 )
+from ddnnf.bench import gen_mutex_cpt, gen_noisy_or, gen_overlapping_disjunction
 from ddnnf.oracle import circuit_truth_tables, enumerate_models
 
 from helpers import cnf_strategy, random_cnf
@@ -134,6 +139,70 @@ def _gate_table(circuit):
     c.set_root(c.add_or([both, neither_c, neither_d]))
     tables, _ = circuit_truth_tables(c)
     return tables[c.root]
+
+
+def _chain(n):
+    # x1 -> x2 -> ... -> xn: n + 1 models, one decision level per variable
+    # in input order
+    return CnfInstance.from_raw(n, [[-i, i + 1] for i in range(1, n)])
+
+
+def _golden_instances():
+    cnfs = [tseitin_transform(gen_mutex_cpt(n, 2, seed)).cnf for n, seed in ((3, 0), (5, 1), (7, 2))]
+    cnfs += [tseitin_transform(gen_noisy_or(n)).cnf for n in (2, 4, 8)]
+    cnfs += [tseitin_transform(gen_overlapping_disjunction(n)).cnf for n in (2, 3, 6)]
+    cnfs += [_chain(n) for n in (2, 9, 40)]
+    # Unnormalized clauses: repeated literals, a tautology, an empty clause.
+    cnfs += [
+        CnfInstance(3, ((1, 1, 2), (-2,), (-1, -1, 3))),
+        CnfInstance(4, ((1, -1), (2, 3, 3), (-3, 4), (-4, 2, 1))),
+        CnfInstance(2, ((1,), ())),
+    ]
+    rng = random.Random(2024)
+    cnfs += [random_cnf(rng, max_vars=9, max_clauses=24, gate_prob=0.3) for _ in range(60)]
+    return cnfs
+
+
+# sha256 over the concatenated write_nnf texts of _golden_instances(),
+# recorded from the recursive compiler that the explicit-stack one replaced.
+GOLDEN_NNF_SHA256 = {
+    "input": "47bfc1aff227e02af4d2c8c5289d3e0f7cdf7ba40b00b46efd422c917a334d68",
+    "dynamic": "43fb6eb5faa0bff0e6183d7a830099762b7c78bd93876337fe0cd5367de87119",
+    "random": "75fd5491e5a40bdf7d29f5203179e793591288a6e9897bb942c34f7792bc9a2a",
+}
+
+
+@pytest.mark.parametrize("cache_enabled", [True, False])
+@pytest.mark.parametrize("order", sorted(GOLDEN_NNF_SHA256))
+def test_output_bytes_pinned(order, cache_enabled):
+    digest = hashlib.sha256()
+    for cnf in _golden_instances():
+        circuit = compile(cnf, CompileConfig(order=order, cache_enabled=cache_enabled))
+        digest.update(write_nnf(circuit).encode())
+    assert digest.hexdigest() == GOLDEN_NNF_SHA256[order]
+
+
+def test_result_freed_without_cycle_collector():
+    # Nothing of a compile run may keep the circuit (or the cache) alive
+    # once the caller drops it.
+    gc.disable()
+    try:
+        ref = weakref.ref(compile(parse_dimacs(OVERLAP_DIMACS)))
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+class TestDeepInputs:
+    def test_long_implication_chain(self):
+        circuit = compile(_chain(800), CompileConfig(order="input"))
+        assert model_count(circuit) == 801
+
+    def test_wide_overlapping_disjunction(self):
+        n = 250
+        encoded = tseitin_transform(gen_overlapping_disjunction(n))
+        circuit = compile(encoded.cnf, CompileConfig(order="input"))
+        assert model_count(circuit) == 4**n - 3**n
 
 
 def test_component_key_canonical():

@@ -14,7 +14,9 @@ from ddnnf import (
     parse_dimacs,
     parse_formula,
     tseitin_transform,
+    write_nnf,
 )
+from ddnnf.bench import gen_mutex_cpt
 from ddnnf.oracle import (
     check_exists_equiv,
     enumerate_models,
@@ -154,6 +156,16 @@ class TestPrune:
         assert pruned is circuit
         assert report.artifacts_found == 0
         assert report.size_before == report.size_after_artifacts
+
+    def test_degenerate_roots_only_prune_like_quantification(self):
+        # Every artifact root of a mutually exclusive CPT circuit is a gate
+        # literal or true; quantification alone turns those into true.
+        encoded = tseitin_transform(gen_mutex_cpt(3, 2, 0))
+        circuit = compile_cnf(encoded.cnf, CompileConfig(order="dynamic"))
+        pruned, report = prune(circuit)
+        assert report.artifacts_internal == 0 < report.artifacts_degenerate
+        assert write_nnf(pruned) == write_nnf(exists_quantify(circuit, circuit.tseitin_vars))
+        assert report.size_after_artifacts == report.size_after_exists
 
     def test_report_fields(self):
         circuit = _overlap_circuit()
