@@ -28,7 +28,7 @@ from .counting import WeightMap, model_count, weighted_model_count
 from .errors import OracleBoundError, ToolkitError
 from .formula import ParseError
 from .oracle import check_exists_equiv, enumerate_models, is_tautology_after_exists, oracle_bound
-from .pruning import artifact_flags, exists_quantify, prune
+from .pruning import artifact_flags, prune, prune_stages
 
 
 def main(argv=None) -> int:
@@ -197,8 +197,8 @@ def cmd_compile(args) -> int:
 
 def cmd_prune(args) -> int:
     circuit = _load_circuit(args)
-    pruned, report = prune(circuit)
-    result = exists_quantify(circuit, circuit.tseitin_vars) if args.mode == "p" else pruned
+    exists_only, pruned, report = prune_stages(circuit)
+    result = exists_only if args.mode == "p" else pruned
     out_path = Path(args.output) if args.output else _with_suffix(args.input, ".pruned.nnf")
     out_path.write_text(write_nnf(result))
     report_path = Path(str(out_path) + ".report")

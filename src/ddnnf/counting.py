@@ -8,7 +8,9 @@ universe variables the root never mentions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .circuit import AND, FALSE, LIT, TRUE, Circuit, check_decomposable
 from .errors import ToolkitError
@@ -49,8 +51,6 @@ class WeightMap:
     @staticmethod
     def from_text(text: str, exact: bool = False) -> "WeightMap":
         """Parse ``w <lit> <real>`` lines; ``#`` starts a comment."""
-        from fractions import Fraction
-
         weights: dict[int, object] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -101,15 +101,56 @@ def model_count(circuit: Circuit) -> int:
 
 def weighted_model_count(circuit: Circuit, weights: WeightMap):
     """Sum over models of the product of literal weights (over the declared
-    universe). With all weights 1 this equals model_count exactly."""
+    universe). With all weights 1 this equals model_count exactly.
+
+    When every weight is an int or a Fraction, the sum is taken over the
+    integers ``w * D``, D being the weights' common denominator, and divided
+    once by ``D ** len(universe)`` at the end: every model assigns every
+    universe variable, so each term is a product of exactly that many
+    weights.
+    """
     _require_decomposable(circuit)
     if circuit.root is None:
         raise ValueError("circuit has no root")
+    denominator = _common_denominator(weights)
+    if denominator == 1:
+        return _weighted_fold(circuit, weights)
+    scaled = WeightMap(
+        {lit: _scale(w, denominator) for lit, w in weights.literal_weights.items()
+         if w is not None},
+        default=None if weights.default is None else _scale(weights.default, denominator),
+    )
+    total = _weighted_fold(circuit, scaled)
+    return Fraction(total, denominator ** len(circuit.universe))
+
+
+def _common_denominator(weights: WeightMap) -> int:
+    """Least common denominator of the map's weights, or 1 when any weight
+    is neither an int nor a Fraction (such a map is folded as given)."""
+    exact = [w for w in weights.literal_weights.values() if w is not None]
+    if weights.default is not None:
+        exact.append(weights.default)
+    if not all(isinstance(w, (int, Fraction)) for w in exact):
+        return 1
+    return math.lcm(*(w.denominator for w in exact))
+
+
+def _scale(w, denominator: int) -> int:
+    return w.numerator * (denominator // w.denominator)
+
+
+def _weighted_fold(circuit: Circuit, weights: WeightMap):
+    # Each variable's pair sum is looked up on first use, so a missing weight
+    # raises for the same literal as it would without the cache.
+    pair_sums: dict[int, object] = {}
 
     def gap_factor(missing):
         factor = 1
         for v in missing:
-            factor *= weights.pair_sum(v)
+            s = pair_sums.get(v)
+            if s is None:
+                s = pair_sums[v] = weights.pair_sum(v)
+            factor *= s
         return factor
 
     values: dict[int, object] = {}

@@ -120,11 +120,21 @@ def prune(circuit: Circuit, verify: bool = False) -> tuple[Circuit, PruneReport]
     With ``verify`` a re-detection pass asserts that no tautological
     subcircuit survived pruning.
     """
+    _, pruned, report = prune_stages(circuit, verify)
+    return pruned, report
+
+
+def prune_stages(
+    circuit: Circuit, verify: bool = False
+) -> tuple[Circuit, Circuit, PruneReport]:
+    """``prune`` that also returns the circuit after quantification alone,
+    which it builds anyway to measure: ``(exists_only, pruned, report)``.
+    Without gate variables both are the input circuit."""
     before = size(circuit)
     xs = circuit.tseitin_vars
     if not xs:
         report = PruneReport(before, before, before, 0, [], 0, 0)
-        return circuit, report
+        return circuit, circuit, report
 
     counts = annotate_counts(circuit)
     roots = detect_artifacts(circuit, counts)
@@ -147,7 +157,7 @@ def prune(circuit: Circuit, verify: bool = False) -> tuple[Circuit, PruneReport]
         raise PruneVerificationError(f"size regression: {report.summary()}")
     if verify:
         _assert_no_residual_artifacts(pruned)
-    return pruned, report
+    return exists_only, pruned, report
 
 
 def _assert_no_residual_artifacts(pruned: Circuit) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ddnnf
+from ddnnf.bench import gen_noisy_or
 from ddnnf.cli import main
 
 FORMULA = "(a & b) | (c & d)\n"
@@ -21,6 +23,15 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _noisy_or_pipeline(tmp_path, capsys):
+    """Encode and compile the artifact-rich noisy-OR network with 4 parents."""
+    (tmp_path / "n.bool").write_text(ddnnf.format_formula(gen_noisy_or(4)) + "\n")
+    assert main(["tseitin", str(tmp_path / "n.bool")]) == 0
+    assert main(["compile", str(tmp_path / "n.cnf"), "--heuristic", "dyn"]) == 0
+    capsys.readouterr()
+    return tmp_path / "n.nnf"
 
 
 def _full_pipeline(workspace, capsys):
@@ -94,6 +105,25 @@ class TestCompilePruneCount:
         size_p = int(stats_p.split()[0].split("=")[1])
         size_t = int(stats_t.split()[0].split("=")[1])
         assert size_t <= size_p
+
+    def test_prune_output_bytes_pinned(self, tmp_path, capsys):
+        # Recorded before --mode p reused the quantified circuit that prune
+        # builds, instead of quantifying the input a second time.
+        nnf = _noisy_or_pipeline(tmp_path, capsys)
+        expected_nnf = {
+            "p": "45ba22fdabd5d2061ed55b542f0f897a0b73487ff6f77e591e9ed0a25153c234",
+            "t": "ce36caf984d291162ba4761fafd87d1263e1aae79d24d0fe398a53023b7bab9e",
+        }
+        expected_report = (
+            "before=44\nafter_p=31\nafter_t=17\nartifacts=10\nartifacts_internal=3\n"
+            "artifacts_degenerate=7\nfrac_p=0.704545\nfrac_t=0.386364\n"
+        )
+        for mode, digest in expected_nnf.items():
+            out = tmp_path / f"{mode}.nnf"
+            code, _, _ = _run(capsys, "prune", str(nnf), "--mode", mode, "-o", str(out))
+            assert code == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+            assert (tmp_path / f"{mode}.nnf.report").read_text() == expected_report
 
     def test_tvars_travel_inside_nnf(self, workspace, capsys):
         # compile embeds the sidecar, so prune works without --tvars
@@ -178,6 +208,27 @@ class TestWmc:
             "--weights", str(weights), "--exact")
         assert code == 0
         assert out.strip() == "7/2"
+
+
+    def test_exact_output_pinned(self, workspace, capsys):
+        # Recorded before exact maps were folded over integers: an integral
+        # result still prints as an integer, a rational one as n/d.
+        _full_pipeline(workspace, capsys)
+        weights = workspace / "w.txt"
+        weights.write_text("w 1 1/2\nw -1 1/4\n")
+        code, out, _ = _run(
+            capsys, "wmc", str(workspace / "f.pruned.nnf"), "--weights", str(weights), "--exact")
+        assert (code, out) == (0, "3\n")
+        nnf = _noisy_or_pipeline(workspace, capsys)
+        assert _run(capsys, "prune", str(nnf), "-o", str(workspace / "t.nnf"))[0] == 0
+        weights.write_text(
+            "w 1 1/3\nw -1 2/3\nw 2 -3/4\nw -2 7/4\nw 3 0\nw -3 5/6\n"
+            "w 4 1/2\nw -4 1/2\nw 5 2/7\n"
+        )
+        for circuit in (nnf, workspace / "t.nnf"):
+            code, out, _ = _run(
+                capsys, "wmc", str(circuit), "--weights", str(weights), "--exact")
+            assert (code, out) == (0, "20/7\n")
 
 
 class TestVerify:

@@ -16,6 +16,7 @@ from ddnnf import (
     tseitin_transform,
     weighted_model_count,
 )
+from ddnnf.bench import gen_mutex_cpt, gen_noisy_or, gen_overlapping_disjunction
 from ddnnf.counting import MissingWeightError, NonDecomposableError
 from ddnnf.oracle import enumerate_models
 
@@ -199,6 +200,143 @@ class TestWeighted:
         c.set_root(c.add_literal(1))
         with pytest.raises(MissingWeightError):
             weighted_model_count(c, WeightMap(default=None))
+
+
+def _brute_force_wmc(circuit, weights):
+    """Sum over the circuit's models of the product of literal weights."""
+    ms = enumerate_models(circuit)
+    total = 0
+    for m in ms.models:
+        product = 1
+        for j, v in enumerate(ms.universe):
+            product *= weights.weight(v if m >> j & 1 else -v)
+        total += product
+    return total
+
+
+def _random_exact_weights(rng, num_vars):
+    """Fraction weights over ``num_vars`` variables and three the circuit never
+    mentions, mixing denominators, zeros, negatives and pair sums of 0; some
+    literals are left to a Fraction default."""
+    values = [Fraction(0), Fraction(-2, 3), Fraction(5, 4), Fraction(1, 6), Fraction(7, 10), 3]
+    lits = {}
+    for v in range(1, num_vars + 4):
+        shape = rng.randrange(4)
+        if shape == 0:
+            lits[v] = rng.choice(values)
+            lits[-v] = -lits[v]
+        elif shape == 1:
+            lits[v], lits[-v] = rng.choice(values), rng.choice(values)
+        elif shape == 2:
+            lits[rng.choice((v, -v))] = rng.choice(values)
+    return WeightMap(lits, default=Fraction(rng.randint(-3, 3), rng.randint(1, 5)))
+
+
+class TestExactWeighted:
+    def test_matches_brute_force(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            cnf = random_cnf(rng, max_vars=8, max_clauses=14)
+            circuit = compile_cnf(cnf, CompileConfig(order="dynamic"))
+            weights = _random_exact_weights(rng, cnf.num_vars)
+            result = weighted_model_count(circuit, weights)
+            assert isinstance(result, Fraction)
+            assert result == _brute_force_wmc(circuit, weights)
+
+    def test_pruned_circuit_matches_brute_force(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            cnf = random_cnf(rng, max_vars=10, max_clauses=12, gate_prob=0.6)
+            circuit = compile_cnf(cnf, CompileConfig(order="dynamic"))
+            pruned, _ = prune(circuit)
+            weights = _random_exact_weights(rng, cnf.num_vars)
+            assert weighted_model_count(pruned, weights) == _brute_force_wmc(pruned, weights)
+
+    def test_integer_weights_return_int(self):
+        rng = random.Random(37)
+        for _ in range(20):
+            cnf = random_cnf(rng, max_vars=8, max_clauses=14)
+            circuit = compile_cnf(cnf)
+            lits = {lit: rng.randint(-3, 3) for v in range(1, cnf.num_vars + 1) for lit in (v, -v)}
+            weights = WeightMap(lits, default=None)
+            result = weighted_model_count(circuit, weights)
+            assert type(result) is int
+            assert result == _brute_force_wmc(circuit, weights)
+
+    def test_fraction_weights_with_unit_denominator_stay_fractions(self):
+        circuit = _decision_overlap()
+        result = weighted_model_count(circuit, WeightMap({1: Fraction(3)}, default=Fraction(1)))
+        assert isinstance(result, Fraction)
+        assert result == _brute_force_wmc(circuit, WeightMap({1: 3}, default=1))
+
+    def test_float_and_fraction_mix_is_folded_as_given(self):
+        circuit = _decision_overlap()
+        weights = WeightMap({1: Fraction(1, 3), -1: Fraction(2, 3)}, default=0.5)
+        assert weighted_model_count(circuit, weights) == pytest.approx(
+            float(_brute_force_wmc(circuit, weights)), rel=1e-12
+        )
+
+    def test_missing_weight_names_the_same_literal(self):
+        # Literals recorded from the fold before exact maps were scaled to
+        # integers and pair sums cached; None marks a complete map.
+        expected = [-7, None, -7, 4, -6, -2, 6, None]
+        rng = random.Random(41)
+        for lit in expected:
+            cnf = random_cnf(rng, max_vars=8, max_clauses=14)
+            circuit = compile_cnf(cnf, CompileConfig(order="dynamic"))
+            lits = [x for v in range(1, cnf.num_vars + 1) for x in (v, -v)]
+            exact = {
+                x: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                for x in lits
+                if rng.random() < 0.7
+            }
+            floats = {x: float(w) for x, w in exact.items()}
+            for w in (exact, floats):
+                weights = WeightMap(w, default=None)
+                if lit is None:
+                    assert weighted_model_count(circuit, weights) == _brute_force_wmc(
+                        circuit, weights
+                    )
+                else:
+                    with pytest.raises(MissingWeightError, match=f"literal {lit}$"):
+                        weighted_model_count(circuit, weights)
+
+
+@pytest.mark.parametrize(
+    "family, pruned, random_weights, expected",
+    [
+        ("noisy_or", False, True, "6.182597030468025e-06"),
+        ("noisy_or", True, True, "0.004094818033989181"),
+        ("overlap", False, True, "4.074766513626873e-05"),
+        ("overlap", True, True, "0.003981514417246344"),
+        ("mutex", False, True, "4.543483836537301e-10"),
+        ("mutex", True, True, "1.529902325174938e-05"),
+        ("noisy_or", False, False, "0.0213623046875"),
+        ("overlap", True, False, "0.68359375"),
+        ("mutex", False, False, "9.5367431640625e-07"),
+    ],
+)
+def test_float_wmc_pinned(family, pruned, random_weights, expected):
+    # Values recorded before pair sums were cached per call: caching must not
+    # reorder the float arithmetic.
+    formula = {
+        "noisy_or": gen_noisy_or(4),
+        "overlap": gen_overlapping_disjunction(4),
+        "mutex": gen_mutex_cpt(4, 2, 0),
+    }[family]
+    circuit = compile_cnf(tseitin_transform(formula).cnf, CompileConfig(order="dynamic"))
+    if pruned:
+        circuit, _ = prune(circuit)
+    if random_weights:
+        rng = random.Random(7)
+        lits = {}
+        for v in sorted(circuit.universe):
+            lits[v] = rng.random()
+            lits[-v] = rng.random()
+        weights = WeightMap(lits, default=None)
+    else:
+        weights = WeightMap(default=0.5)
+    assert repr(weighted_model_count(circuit, weights)) == expected
 
 
 class TestWeightsFile:

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 
 from ddnnf import (
     And,
@@ -18,11 +18,15 @@ from ddnnf import (
     vars_of,
 )
 from ddnnf.formula import FALSE, TRUE, ParseError, format_var_map, parse_var_map
-from ddnnf.oracle import check_exists_equiv, enumerate_models
+from ddnnf.oracle import check_exists_equiv, enumerate_models, oracle_bound
 
 from helpers import formulas
 
 a, b, c, d = Var("a"), Var("b"), Var("c"), Var("d")
+
+# Three source variables, but its Tseitin encoding has 21: one more than the
+# oracle enumerates by default.
+OVER_ORACLE_BOUND = Iff(Iff(a, a), Iff(Iff(a, b), Iff(a, c)))
 
 
 class TestParse:
@@ -232,15 +236,17 @@ class TestTseitin:
         )
 
     @given(formulas(max_vars=5, max_leaves=10))
+    @example(OVER_ORACLE_BOUND)
     @settings(max_examples=150, deadline=None)
     def test_model_bijection(self, f):
-        out = tseitin_transform(f)
+        out = _encode_within_oracle_bound(f)
         assert enumerate_models(f).count() == enumerate_models(out.cnf).count()
 
     @given(formulas(max_vars=5, max_leaves=10))
+    @example(OVER_ORACLE_BOUND)
     @settings(max_examples=100, deadline=None)
     def test_projection_recovers_formula(self, f):
-        out = tseitin_transform(f)
+        out = _encode_within_oracle_bound(f)
         assert check_exists_equiv(out, out.tseitin_vars, f)
 
     @given(formulas(max_vars=5, max_leaves=10))
@@ -255,6 +261,15 @@ class TestTseitin:
         # Every gate of fan-in k yields k+1 clauses and gates are a subset of
         # the internal nodes, so 3x the tree size bounds the clause count.
         assert len(out.cnf.clauses) <= 3 * tree_nodes
+
+
+def _encode_within_oracle_bound(f):
+    """Tseitin-encode ``f``, discarding the draw when the encoding has more
+    variables than the oracle will enumerate: the oracle refuses it, which
+    says nothing about the program."""
+    out = tseitin_transform(f)
+    assume(out.cnf.num_vars <= oracle_bound())
+    return out
 
 
 def _tree_size(f) -> int:
