@@ -14,7 +14,6 @@ from .circuit import (
     Circuit,
     Node,
     check_decomposable,
-    check_deterministic_oracle,
     check_smooth,
     size,
     stats_line,
@@ -56,6 +55,7 @@ from .formula import (
 )
 from .oracle import (
     ModelSet,
+    check_deterministic_oracle,
     check_exists_equiv,
     enumerate_models,
     is_tautology_after_exists,

@@ -3,19 +3,41 @@ structural property checks, and c2d-style NNF serialization."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-
-from .errors import OracleBoundError
+from itertools import compress, count
 
 TRUE, FALSE, LIT, AND, OR = "T", "F", "L", "A", "O"
 
-ORACLE_ENV = "DDNNF_ORACLE_MAX_VARS"
+# Maps the digits of bin() to the bytes 0 and 1, so that compress() can
+# select by them.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _env_bound(default: int) -> int:
-    raw = os.environ.get(ORACLE_ENV)
-    return int(raw) if raw else default
+def mask_bits(mask: int) -> bytes:
+    """Byte j is 1 iff bit j of ``mask`` is set: a selector for
+    ``itertools.compress`` over a sequence indexed by variable."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def reached_from(root: int, children, stop=frozenset()) -> bytearray:
+    """Byte i is 1 iff node i is reached from ``root`` through no node of
+    ``stop`` above it. ``children(i)`` gives the ids below node i, which are
+    all smaller than i, so one downward sweep marks them all."""
+    marks = bytearray(root + 1)
+    marks[root] = 1
+    for nid in range(root, -1, -1):
+        if marks[nid] and nid not in stop:
+            for c in children(nid):
+                marks[c] = 1
+    return marks
+
+
+def mask_of(variables) -> int:
+    """The bitmask with bit v set for each variable v."""
+    mask = 0
+    for v in variables:
+        mask |= 1 << v
+    return mask
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,7 +46,12 @@ class Node:
     lit: int = 0
     children: tuple[int, ...] = ()
     decision: int = 0
-    varset: frozenset[int] = frozenset()
+    mask: int = 0  # bit v is set iff the node mentions variable v
+
+    @property
+    def varset(self) -> frozenset[int]:
+        """The variables the node mentions."""
+        return frozenset(compress(count(), mask_bits(self.mask)))
 
 
 _TRUE_KEY, _FALSE_KEY = (TRUE,), (FALSE,)
@@ -47,14 +74,18 @@ class Circuit:
             raise ValueError("tseitin_vars outside declared universe")
         self.determinism_verified = determinism_verified
         self.root: int | None = None
+        self._reachable: tuple[int | None, tuple[int, ...]] = (None, ())  # root, ids
         self._nodes: list[Node] = []
+        # node(nid) is the Node with that id: the list's own lookup, the
+        # cheapest call, since every pass over the circuit makes it per node.
+        self.node = self._nodes.__getitem__
         self._dedup: dict[tuple, int] = {}
+        # ANDs whose children share a variable, ascending: check_decomposable
+        # looks only at these.
+        self._overlapping_ands: list[int] = []
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def node(self, nid: int) -> Node:
-        return self._nodes[nid]
 
     def _append(self, key: tuple, node: Node) -> int:
         nid = len(self._nodes)
@@ -80,7 +111,7 @@ class Circuit:
         var = abs(lit)
         if lit == 0 or var not in self.universe:
             raise ValueError(f"literal {lit} outside universe")
-        return self._append(key, Node(LIT, lit=lit, varset=frozenset((var,))))
+        return self._append(key, Node(LIT, lit=lit, mask=1 << var))
 
     def _add_internal(self, kind: str, children, decision: int = 0) -> int:
         kids = tuple(sorted(children))
@@ -93,8 +124,15 @@ class Circuit:
         if kids[0] < 0 or kids[-1] >= len(self._nodes):
             bad = next(c for c in kids if not 0 <= c < len(self._nodes))
             raise ValueError(f"unknown child id {bad}")
-        varset = frozenset().union(*(self._nodes[c].varset for c in kids))
-        return self._append(key, Node(kind, children=kids, decision=decision, varset=varset))
+        nodes = self._nodes
+        mask = 0
+        for c in kids:
+            mask |= nodes[c].mask
+        nid = self._append(key, Node(kind, children=kids, decision=decision, mask=mask))
+        # The masks of pairwise disjoint children add up to their union.
+        if kind == AND and sum([nodes[c].mask for c in kids]) != mask:
+            self._overlapping_ands.append(nid)
+        return nid
 
     def add_and(self, children) -> int:
         return self._add_internal(AND, children)
@@ -107,18 +145,18 @@ class Circuit:
             raise ValueError(f"unknown node id {nid}")
         self.root = nid
 
-    def reachable(self) -> list[int]:
-        """Ids reachable from the root, ascending (= topological order)."""
-        if self.root is None:
-            return []
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            for c in self._nodes[stack.pop()].children:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        return sorted(seen)
+    def reachable(self) -> tuple[int, ...]:
+        """Ids reachable from the root, ascending (= topological order).
+
+        Nodes never change and the arena only grows, so the result is kept
+        for as long as the root stays the same.
+        """
+        root = self.root
+        if self._reachable[0] != root:
+            nodes = self._nodes
+            marks = reached_from(root, lambda nid: nodes[nid].children)
+            self._reachable = (root, tuple(compress(range(root + 1), marks)))
+        return self._reachable[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Circuit):
@@ -143,12 +181,8 @@ class Circuit:
 def size(circuit: Circuit) -> int:
     """Number of binary operations: an internal node with k inputs counts
     as k - 1. Literals and constants count as zero."""
-    total = 0
-    for nid in circuit.reachable():
-        node = circuit.node(nid)
-        if node.kind in (AND, OR):
-            total += max(len(node.children) - 1, 0)
-    return total
+    return sum(len(node.children) - 1 for node in map(circuit.node, circuit.reachable())
+               if node.children)
 
 
 def stats_line(circuit: Circuit) -> str:
@@ -162,12 +196,12 @@ def stats_line(circuit: Circuit) -> str:
 
 def check_decomposable(circuit: Circuit) -> tuple[bool, int | None]:
     """True iff every AND's children mention pairwise-disjoint variables.
-    Returns the first violating node id otherwise."""
-    for nid in circuit.reachable():
-        node = circuit.node(nid)
-        if node.kind == AND:
-            total = sum(len(circuit.node(c).varset) for c in node.children)
-            if total != len(node.varset):
+    Returns the first violating node id otherwise. The arena records such
+    ANDs as it adds them, so this only looks for a reachable one."""
+    if circuit._overlapping_ands:
+        reach = set(circuit.reachable())
+        for nid in circuit._overlapping_ands:
+            if nid in reach:
                 return False, nid
     return True, None
 
@@ -177,71 +211,10 @@ def check_smooth(circuit: Circuit) -> bool:
     for nid in circuit.reachable():
         node = circuit.node(nid)
         if node.kind == OR:
-            first = circuit.node(node.children[0]).varset
-            if any(circuit.node(c).varset != first for c in node.children[1:]):
+            first = circuit.node(node.children[0]).mask
+            if any(circuit.node(c).mask != first for c in node.children[1:]):
                 return False
     return True
-
-
-def check_deterministic_oracle(circuit: Circuit, max_vars: int | None = None) -> bool:
-    """Brute-force determinism check: no two children of any OR share a
-    model. Only usable on small universes (default bound 16, overridable via
-    DDNNF_ORACLE_MAX_VARS)."""
-    bound = max_vars if max_vars is not None else _env_bound(16)
-    order = sorted(circuit.universe)
-    if len(order) > bound:
-        raise OracleBoundError(
-            f"universe of {len(order)} variables exceeds oracle bound {bound}"
-        )
-    tables = _truth_tables(circuit, order)
-    for nid in circuit.reachable():
-        node = circuit.node(nid)
-        if node.kind == OR:
-            kids = node.children
-            for i in range(len(kids)):
-                for j in range(i + 1, len(kids)):
-                    if tables[kids[i]] & tables[kids[j]]:
-                        return False
-    circuit.determinism_verified = True
-    return True
-
-
-def _truth_tables(circuit: Circuit, order: list[int]) -> dict[int, int]:
-    # Whole truth table per node as a 2^n-bit integer; assignment i sets
-    # variable order[j] true iff bit j of i is set.
-    n = len(order)
-    nbits = 1 << n
-    full = (1 << nbits) - 1
-    var_masks = {}
-    for j, v in enumerate(order):
-        block = 1 << j
-        mask = ((1 << block) - 1) << block
-        width = block << 1
-        while width < nbits:
-            mask |= mask << width
-            width <<= 1
-        var_masks[v] = mask
-    tables: dict[int, int] = {}
-    for nid in circuit.reachable():
-        node = circuit.node(nid)
-        if node.kind == TRUE:
-            tables[nid] = full
-        elif node.kind == FALSE:
-            tables[nid] = 0
-        elif node.kind == LIT:
-            mask = var_masks[abs(node.lit)]
-            tables[nid] = mask if node.lit > 0 else full ^ mask
-        elif node.kind == AND:
-            acc = full
-            for c in node.children:
-                acc &= tables[c]
-            tables[nid] = acc
-        else:
-            acc = 0
-            for c in node.children:
-                acc |= tables[c]
-            tables[nid] = acc
-    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import formula as fm
-from .circuit import Circuit, check_decomposable, check_deterministic_oracle, stats_line, write_nnf
+from .circuit import Circuit, check_decomposable, stats_line, write_nnf
 from .cnf import (
     CnfInstance,
     DimacsError,
@@ -27,8 +27,14 @@ from .compiler import CompileConfig, NnfFormatError, compile, parse_nnf
 from .counting import WeightMap, model_count, weighted_model_count
 from .errors import OracleBoundError, ToolkitError
 from .formula import ParseError
-from .oracle import check_exists_equiv, enumerate_models, is_tautology_after_exists, oracle_bound
-from .pruning import artifact_flags, prune, prune_stages
+from .oracle import (
+    check_deterministic_oracle,
+    check_exists_equiv,
+    enumerate_models,
+    is_tautology_after_exists,
+    oracle_bound,
+)
+from .pruning import artifact_flags, exists_quantify, prune
 
 
 def main(argv=None) -> int:
@@ -44,6 +50,8 @@ def main(argv=None) -> int:
         print(f"oracle error: {exc}", file=sys.stderr)
     except (ToolkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
     return 1
 
 
@@ -197,8 +205,10 @@ def cmd_compile(args) -> int:
 
 def cmd_prune(args) -> int:
     circuit = _load_circuit(args)
-    exists_only, pruned, report = prune_stages(circuit)
-    result = exists_only if args.mode == "p" else pruned
+    result, report = prune(circuit)
+    # Without internal artifact roots the pruned circuit is the quantified one.
+    if args.mode == "p" and report.artifacts_internal:
+        result = exists_quantify(circuit, circuit.tseitin_vars)
     out_path = Path(args.output) if args.output else _with_suffix(args.input, ".pruned.nnf")
     out_path.write_text(write_nnf(result))
     report_path = Path(str(out_path) + ".report")

@@ -16,7 +16,7 @@ from .circuit import AND, FALSE, TRUE, Circuit, check_decomposable
 from .cnf import Clause, CnfInstance
 from .errors import ToolkitError
 
-ComponentKey = bytes
+ComponentKey = tuple[Clause, ...]
 
 
 class CompileBudgetError(ToolkitError):
@@ -44,8 +44,9 @@ class CompileConfig:
 
 
 def component_key(clauses) -> ComponentKey:
-    """Canonical byte string of a clause set; equal keys iff equal sets."""
-    return repr(tuple(sorted(set(clauses)))).encode()
+    """Canonical form of a clause set, the sorted tuple of its distinct
+    clauses; equal keys iff equal sets."""
+    return tuple(sorted(set(clauses)))
 
 
 def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
@@ -306,10 +307,9 @@ def _parse_c2d(text: str) -> Circuit:
     tseitin: frozenset[int] = frozenset()
     node_lines: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
         if fields[0] == "c":
             if len(fields) > 1 and fields[1] == "universe":
                 universe = frozenset(int(t) for t in fields[2:])
@@ -324,7 +324,7 @@ def _parse_c2d(text: str) -> Circuit:
             except ValueError:
                 header = None
             if header is None or len(header) != 3:
-                raise NnfFormatError(f"line {lineno}: malformed header {line!r}")
+                raise NnfFormatError(f"line {lineno}: malformed header {raw.strip()!r}")
             continue
         if header is None:
             raise NnfFormatError(f"line {lineno}: node before 'nnf' header")
@@ -349,19 +349,16 @@ def _parse_c2d(text: str) -> Circuit:
     circuit = Circuit(universe, tseitin)
     ids: list[int] = []
 
-    def child_ids(lineno: int, fields: list[str]) -> list[int]:
-        out = []
-        for t in fields:
-            i = int(t)
-            if not 0 <= i < len(ids):
-                raise NnfFormatError(f"line {lineno}: dangling node reference {i}")
-            out.append(ids[i])
-        return out
+    def child_ids(lineno: int, refs: list[int]) -> list[int]:
+        if min(refs) < 0 or max(refs) >= len(ids):
+            bad = next(i for i in refs if not 0 <= i < len(ids))
+            raise NnfFormatError(f"line {lineno}: dangling node reference {bad}")
+        return [ids[i] for i in refs]
 
     for lineno, fields in node_lines:
         tag = fields[0]
         try:
-            args = [int(t) for t in fields[1:]]
+            args = list(map(int, fields[1:]))
         except ValueError:
             raise NnfFormatError(f"line {lineno}: non-integer argument") from None
         if tag == "L":
@@ -376,14 +373,14 @@ def _parse_c2d(text: str) -> Circuit:
             if args[0] == 0:
                 ids.append(circuit.add_true())
             else:
-                ids.append(circuit.add_and(child_ids(lineno, fields[2:])))
+                ids.append(circuit.add_and(child_ids(lineno, args[1:])))
         elif tag == "O":
             if len(args) < 2 or args[1] != len(args) - 2:
                 raise NnfFormatError(f"line {lineno}: OR child count mismatch")
             if args[1] == 0:
                 ids.append(circuit.add_false())
             else:
-                ids.append(circuit.add_or(child_ids(lineno, fields[3:]), decision=args[0]))
+                ids.append(circuit.add_or(child_ids(lineno, args[2:]), decision=args[0]))
         else:
             raise NnfFormatError(f"line {lineno}: unknown node tag {tag!r}")
 

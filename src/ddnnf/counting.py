@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
-from .circuit import AND, FALSE, LIT, TRUE, Circuit, check_decomposable
+from .circuit import AND, FALSE, LIT, TRUE, Circuit, check_decomposable, mask_bits, mask_of
 from .errors import ToolkitError
 
 # Per-node exact model counts, keyed by node id; each node's count is taken
@@ -76,14 +77,11 @@ def annotate_counts(circuit: Circuit) -> CountAnnotation:
         elif node.kind == FALSE:
             counts[nid] = 0
         elif node.kind == AND:
-            total = 1
-            for c in node.children:
-                total *= counts[c]
-            counts[nid] = total
+            counts[nid] = math.prod(map(counts.__getitem__, node.children))
         else:
-            nvars = len(node.varset)
+            nvars = node.mask.bit_count()
             counts[nid] = sum(
-                counts[c] << (nvars - len(circuit.node(c).varset))
+                counts[c] << (nvars - circuit.node(c).mask.bit_count())
                 for c in node.children
             )
     return counts
@@ -95,7 +93,7 @@ def model_count(circuit: Circuit) -> int:
     if circuit.root is None:
         raise ValueError("circuit has no root")
     counts = annotate_counts(circuit)
-    gap = len(circuit.universe) - len(circuit.node(circuit.root).varset)
+    gap = len(circuit.universe) - circuit.node(circuit.root).mask.bit_count()
     return counts[circuit.root] << gap
 
 
@@ -103,17 +101,18 @@ def weighted_model_count(circuit: Circuit, weights: WeightMap):
     """Sum over models of the product of literal weights (over the declared
     universe). With all weights 1 this equals model_count exactly.
 
-    When every weight is an int or a Fraction, the sum is taken over the
-    integers ``w * D``, D being the weights' common denominator, and divided
-    once by ``D ** len(universe)`` at the end: every model assigns every
-    universe variable, so each term is a product of exactly that many
-    weights.
+    When every weight is an int or a Fraction and at least one is a
+    Fraction, the sum is taken over the integers ``w * D``, D being the
+    weights' common denominator, and divided once by ``D ** len(universe)``
+    at the end: every model assigns every universe variable, so each term is
+    a product of exactly that many weights. The result is then a Fraction,
+    also when D is 1; a map of ints alone gives an int.
     """
     _require_decomposable(circuit)
     if circuit.root is None:
         raise ValueError("circuit has no root")
     denominator = _common_denominator(weights)
-    if denominator == 1:
+    if denominator is None:
         return _weighted_fold(circuit, weights)
     scaled = WeightMap(
         {lit: _scale(w, denominator) for lit, w in weights.literal_weights.items()
@@ -124,14 +123,17 @@ def weighted_model_count(circuit: Circuit, weights: WeightMap):
     return Fraction(total, denominator ** len(circuit.universe))
 
 
-def _common_denominator(weights: WeightMap) -> int:
-    """Least common denominator of the map's weights, or 1 when any weight
-    is neither an int nor a Fraction (such a map is folded as given)."""
+def _common_denominator(weights: WeightMap) -> int | None:
+    """Least common denominator of the map's weights, or None when the map
+    is folded as given: some weight is neither an int nor a Fraction, or no
+    weight is a Fraction."""
     exact = [w for w in weights.literal_weights.values() if w is not None]
     if weights.default is not None:
         exact.append(weights.default)
     if not all(isinstance(w, (int, Fraction)) for w in exact):
-        return 1
+        return None
+    if not any(isinstance(w, Fraction) for w in exact):
+        return None
     return math.lcm(*(w.denominator for w in exact))
 
 
@@ -140,18 +142,24 @@ def _scale(w, denominator: int) -> int:
 
 
 def _weighted_fold(circuit: Circuit, weights: WeightMap):
-    # Each variable's pair sum is looked up on first use, so a missing weight
-    # raises for the same literal as it would without the cache.
-    pair_sums: dict[int, object] = {}
+    # pair_sums[v] is w(v) + w(-v). A variable whose pair sum cannot be
+    # formed has its bit in ``unpaired``; a gap reaching one forms it again,
+    # for the lowest such variable, which raises for the same literal as
+    # walking the gap in ascending order would.
+    pair_sums: list[object] = [0] * (max(circuit.universe, default=0) + 1)
+    unpaired = 0
+    for v in circuit.universe:
+        try:
+            pair_sums[v] = weights.pair_sum(v)
+        except MissingWeightError:
+            unpaired |= 1 << v
 
-    def gap_factor(missing):
-        factor = 1
-        for v in missing:
-            s = pair_sums.get(v)
-            if s is None:
-                s = pair_sums[v] = weights.pair_sum(v)
-            factor *= s
-        return factor
+    def gap_factor(gap: int):
+        # Multiplies in ascending variable order, which fixes float rounding.
+        if gap & unpaired:
+            low = gap & unpaired
+            weights.pair_sum((low & -low).bit_length() - 1)
+        return math.prod(compress(pair_sums, mask_bits(gap)))
 
     values: dict[int, object] = {}
     for nid in circuit.reachable():
@@ -163,17 +171,16 @@ def _weighted_fold(circuit: Circuit, weights: WeightMap):
         elif node.kind == LIT:
             values[nid] = weights.weight(node.lit)
         elif node.kind == AND:
-            total = 1
-            for c in node.children:
-                total *= values[c]
-            values[nid] = total
+            # math.prod multiplies left to right from 1, as a loop would.
+            values[nid] = math.prod(map(values.__getitem__, node.children))
         else:
+            mask = node.mask
             values[nid] = sum(
-                values[c] * gap_factor(node.varset - circuit.node(c).varset)
+                values[c] * gap_factor(mask ^ circuit.node(c).mask)
                 for c in node.children
             )
     root = circuit.node(circuit.root)
-    return values[circuit.root] * gap_factor(circuit.universe - root.varset)
+    return values[circuit.root] * gap_factor(mask_of(circuit.universe) ^ root.mask)
 
 
 def _require_decomposable(circuit: Circuit) -> None:

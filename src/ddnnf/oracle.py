@@ -133,6 +133,12 @@ def circuit_truth_tables(circuit: Circuit) -> tuple[dict[int, int], int]:
         raise ValueError("circuit has no root")
     order = sorted(circuit.universe)
     _check_bound(len(order))
+    return _truth_tables(circuit, order)
+
+
+def _truth_tables(circuit: Circuit, order) -> tuple[dict[int, int], int]:
+    # Tables over ``order``, which must contain every variable a reachable
+    # node mentions; no bound is checked.
     nbits = 1 << len(order)
     full = (1 << nbits) - 1
     masks = {v: _var_mask(j, nbits) for j, v in enumerate(order)}
@@ -157,6 +163,31 @@ def circuit_truth_tables(circuit: Circuit) -> tuple[dict[int, int], int]:
                 acc |= tables[c]
             tables[nid] = acc
     return tables, full
+
+
+def check_deterministic_oracle(circuit: Circuit, max_vars: int | None = None) -> bool:
+    """Brute-force determinism check: no two children of any OR share a
+    model. Only usable on small universes (default bound 16, overridable via
+    DDNNF_ORACLE_MAX_VARS). The truth tables range over the variables the
+    root mentions; the others cannot tell two children apart. Marks the
+    circuit ``determinism_verified`` when it passes."""
+    bound = max_vars if max_vars is not None else oracle_bound(16)
+    if len(circuit.universe) > bound:
+        raise OracleBoundError(
+            f"universe of {len(circuit.universe)} variables exceeds oracle bound {bound}"
+        )
+    if circuit.root is not None:
+        tables, _ = _truth_tables(circuit, sorted(circuit.node(circuit.root).varset))
+        for nid in circuit.reachable():
+            node = circuit.node(nid)
+            if node.kind == OR:
+                kids = node.children
+                for i in range(len(kids)):
+                    for j in range(i + 1, len(kids)):
+                        if tables[kids[i]] & tables[kids[j]]:
+                            return False
+    circuit.determinism_verified = True
+    return True
 
 
 def _var_mask(position: int, nbits: int) -> int:
@@ -187,9 +218,9 @@ def is_tautology_after_exists(circuit: Circuit, variables, node: int | None = No
     order = sorted(circuit.universe)
     nbits = 1 << len(order)
     table = tables[nid]
-    varset = circuit.node(nid).varset
+    mask = circuit.node(nid).mask
     for j, v in enumerate(order):
-        if v in xs or v not in varset:
+        if v in xs or not mask >> v & 1:
             table = _exists_at(table, j, nbits)
     return table == full
 

@@ -12,8 +12,10 @@ them with true before quantifying.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partialmethod
+from itertools import compress
 
-from .circuit import AND, FALSE, LIT, OR, TRUE, Circuit, size
+from .circuit import AND, FALSE, LIT, OR, TRUE, Circuit, mask_of, reached_from, size
 from .counting import CountAnnotation, annotate_counts
 from .errors import ToolkitError
 
@@ -83,11 +85,10 @@ def artifact_flags(circuit: Circuit, counts: CountAnnotation | None = None) -> s
     circuit's designated gate variables are forgotten."""
     if counts is None:
         counts = annotate_counts(circuit)
-    plain = circuit.universe - circuit.tseitin_vars
+    plain = mask_of(circuit.universe - circuit.tseitin_vars)
     flagged = set()
     for nid in circuit.reachable():
-        node = circuit.node(nid)
-        if counts[nid] == 1 << len(node.varset & plain):
+        if counts[nid] == 1 << (circuit.node(nid).mask & plain).bit_count():
             flagged.add(nid)
     return flagged
 
@@ -97,57 +98,43 @@ def detect_artifacts(circuit: Circuit, counts: CountAnnotation | None = None) ->
     flagged = artifact_flags(circuit, counts)
     if circuit.root is None:
         return set()
-    roots: set[int] = set()
-    seen: set[int] = set()
-    stack = [circuit.root]
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        if nid in flagged:
-            roots.add(nid)
-            continue
-        stack.extend(circuit.node(nid).children)
-    return roots
+    below = reached_from(circuit.root, lambda nid: circuit.node(nid).children, flagged)
+    return {nid for nid in flagged if below[nid]}
 
 
 def prune(circuit: Circuit, verify: bool = False) -> tuple[Circuit, PruneReport]:
     """Full pipeline: detect artifact roots, replace them with true, forget
     the gate variables, and propagate. Returns the pruned circuit and a size
-    report; the input circuit is left untouched.
+    report; the input circuit is left untouched, and is itself returned when
+    it has no gate variables.
+
+    Only the pruned circuit is built: the size after quantification alone
+    comes from a walk that records no more than each node's children.
 
     With ``verify`` a re-detection pass asserts that no tautological
     subcircuit survived pruning.
     """
-    _, pruned, report = prune_stages(circuit, verify)
-    return pruned, report
-
-
-def prune_stages(
-    circuit: Circuit, verify: bool = False
-) -> tuple[Circuit, Circuit, PruneReport]:
-    """``prune`` that also returns the circuit after quantification alone,
-    which it builds anyway to measure: ``(exists_only, pruned, report)``.
-    Without gate variables both are the input circuit."""
     before = size(circuit)
     xs = circuit.tseitin_vars
     if not xs:
-        report = PruneReport(before, before, before, 0, [], 0, 0)
-        return circuit, circuit, report
+        return circuit, PruneReport(before, before, before, 0, [], 0, 0)
 
     counts = annotate_counts(circuit)
     roots = detect_artifacts(circuit, counts)
     # A degenerate root (a gate-variable literal or true) becomes true under
     # quantification anyway, so only AND/OR roots can change the rebuild.
     internal = frozenset(nid for nid in roots if circuit.node(nid).kind in (AND, OR))
-    exists_only = _rebuild(circuit, xs, frozenset())
-    pruned = _rebuild(circuit, xs, internal) if internal else exists_only
-    size_after_exists = size(exists_only)
+    pruned = _rebuild(circuit, xs, internal)
+    size_after_artifacts = size(pruned)
+    if internal:
+        sink = _SizeSink()
+        size_after_exists = sink.size(_quantify(circuit, xs, frozenset(), sink))
+    else:
+        size_after_exists = size_after_artifacts
     report = PruneReport(
         size_before=before,
         size_after_exists=size_after_exists,
-        size_after_artifacts=size(pruned) if internal else size_after_exists,
+        size_after_artifacts=size_after_artifacts,
         artifacts_found=len(roots),
         artifact_node_ids=sorted(roots),
         artifacts_internal=len(internal),
@@ -157,7 +144,7 @@ def prune_stages(
         raise PruneVerificationError(f"size regression: {report.summary()}")
     if verify:
         _assert_no_residual_artifacts(pruned)
-    return exists_only, pruned, report
+    return pruned, report
 
 
 def _assert_no_residual_artifacts(pruned: Circuit) -> None:
@@ -166,7 +153,7 @@ def _assert_no_residual_artifacts(pruned: Circuit) -> None:
         node = pruned.node(nid)
         if node.kind in (TRUE, FALSE):
             continue
-        if counts[nid] == 1 << len(node.varset):
+        if counts[nid] == 1 << node.mask.bit_count():
             raise PruneVerificationError(f"node {nid} is still a tautology after pruning")
 
 
@@ -176,61 +163,91 @@ def _rebuild(circuit: Circuit, xs: frozenset[int], replace_true: frozenset[int])
         tseitin_vars=circuit.tseitin_vars - xs,
         determinism_verified=circuit.determinism_verified,
     )
-    if circuit.root is None:
-        return out
+    if circuit.root is not None:
+        out.set_root(_quantify(circuit, xs, replace_true, out))
+    return out
+
+
+def _quantify(circuit: Circuit, xs: frozenset[int], replace_true: frozenset[int], out) -> int:
+    """Add to ``out`` the image of every node reachable from the root, and
+    return the root's image. The literals of ``xs`` and the nodes of
+    ``replace_true`` become true; then constants propagate: a false child
+    makes an AND false and a true child makes an OR true, other constant
+    children are dropped, and a node left with one child is that child.
+
+    ``out`` is a ``Circuit`` or a ``_SizeSink``; both deduplicate alike, so
+    they receive the same nodes in the same order.
+    """
     mapping: dict[int, int] = {}
+    image = mapping.__getitem__
+    true = false = -1  # the constants' ids in ``out``, once added
     for nid in circuit.reachable():
         node = circuit.node(nid)
-        if nid in replace_true:
-            mapping[nid] = out.add_true()
+        kind = node.kind
+        if nid in replace_true or kind == TRUE or (kind == LIT and abs(node.lit) in xs):
+            result = TRUE
+        elif kind == FALSE:
+            result = FALSE
+        elif kind == LIT:
+            mapping[nid] = out.add_literal(node.lit)
             continue
-        if node.kind == TRUE:
-            mapping[nid] = out.add_true()
-        elif node.kind == FALSE:
-            mapping[nid] = out.add_false()
-        elif node.kind == LIT:
-            if abs(node.lit) in xs:
-                mapping[nid] = out.add_true()
-            else:
-                mapping[nid] = out.add_literal(node.lit)
-        elif node.kind == AND:
-            kept: dict[int, None] = {}
-            short_circuit = None
-            for c in node.children:
-                m = mapping[c]
-                kind = out.node(m).kind
-                if kind == FALSE:
-                    short_circuit = out.add_false()
-                    break
-                if kind != TRUE:
-                    kept.setdefault(m)
-            if short_circuit is not None:
-                mapping[nid] = short_circuit
-            elif not kept:
-                mapping[nid] = out.add_true()
-            elif len(kept) == 1:
-                mapping[nid] = next(iter(kept))
-            else:
-                mapping[nid] = out.add_and(kept)
         else:
-            kept = {}
-            short_circuit = None
-            for c in node.children:
-                m = mapping[c]
-                kind = out.node(m).kind
-                if kind == TRUE:
-                    short_circuit = out.add_true()
-                    break
-                if kind != FALSE:
-                    kept.setdefault(m)
-            if short_circuit is not None:
-                mapping[nid] = short_circuit
-            elif not kept:
-                mapping[nid] = out.add_false()
-            elif len(kept) == 1:
+            unit, zero = (true, false) if kind == AND else (false, true)
+            kept = dict.fromkeys(map(image, node.children))
+            kept.pop(unit, None)
+            if zero in kept:
+                result = FALSE if kind == AND else TRUE
+            elif len(kept) > 1:
+                if kind == AND:
+                    mapping[nid] = out.add_and(kept)
+                else:
+                    decision = 0 if node.decision in xs else node.decision
+                    mapping[nid] = out.add_or(kept, decision=decision)
+                continue
+            elif kept:
                 mapping[nid] = next(iter(kept))
+                continue
             else:
-                decision = 0 if node.decision in xs else node.decision
-                mapping[nid] = out.add_or(kept, decision=decision)
-    out.set_root(mapping[circuit.root])
-    return out
+                result = TRUE if kind == AND else FALSE
+        if result == TRUE:
+            if true < 0:
+                true = out.add_true()
+            mapping[nid] = true
+        else:
+            if false < 0:
+                false = out.add_false()
+            mapping[nid] = false
+    return mapping[circuit.root]
+
+
+class _SizeSink:
+    """Takes ``_quantify``'s output in place of a ``Circuit`` when only the
+    result's size is wanted: it deduplicates nodes as ``Circuit`` does, but
+    keeps only their child tuples."""
+
+    def __init__(self) -> None:
+        self._children: list[tuple[int, ...]] = []
+        self._dedup: dict[object, int] = {}
+
+    def _add(self, key, kids: tuple[int, ...] = ()) -> int:
+        nid = self._dedup.get(key)
+        if nid is None:
+            nid = self._dedup[key] = len(self._children)
+            self._children.append(kids)
+        return nid
+
+    add_true = partialmethod(_add, TRUE)
+    add_false = partialmethod(_add, FALSE)
+    add_literal = _add
+
+    def add_and(self, children, kind: str = AND) -> int:
+        kids = tuple(sorted(children))
+        return self._add((kind, kids), kids)
+
+    def add_or(self, children, decision: int = 0) -> int:
+        return self.add_and(children, OR)
+
+    def size(self, root: int) -> int:
+        """``circuit.size`` of the nodes reachable from ``root``."""
+        marks = reached_from(root, self._children.__getitem__)
+        return sum(len(kids) - 1 for kids in compress(self._children, marks) if kids)

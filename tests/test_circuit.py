@@ -57,6 +57,25 @@ class TestArena:
                 )
                 assert node.varset == expected
 
+    def test_reachable_follows_set_root_and_is_immutable(self):
+        c = Circuit({1, 2, 3})
+        a, b = c.add_literal(1), c.add_literal(2)
+        ab = c.add_and([a, b])
+        c.set_root(ab)
+        first = c.reachable()
+        assert list(first) == [a, b, ab]
+        with pytest.raises((TypeError, AttributeError)):
+            first.append(0)
+        with pytest.raises(TypeError):
+            first[0] = 5
+        assert c.reachable() == first
+        lit3 = c.add_literal(3)
+        top = c.add_or([ab, lit3])
+        c.set_root(a)
+        assert list(c.reachable()) == [a]
+        c.set_root(top)
+        assert list(c.reachable()) == [a, b, ab, lit3, top]
+
     def test_tseitin_must_be_inside_universe(self):
         with pytest.raises(ValueError):
             Circuit({1}, tseitin_vars={2})

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ddnnf
-from ddnnf.bench import gen_noisy_or
+from ddnnf.bench import gen_noisy_or, gen_overlapping_disjunction
 from ddnnf.cli import main
 
 FORMULA = "(a & b) | (c & d)\n"
@@ -25,9 +25,11 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _noisy_or_pipeline(tmp_path, capsys):
-    """Encode and compile the artifact-rich noisy-OR network with 4 parents."""
-    (tmp_path / "n.bool").write_text(ddnnf.format_formula(gen_noisy_or(4)) + "\n")
+def _noisy_or_pipeline(tmp_path, capsys, formula=None):
+    """Encode and compile an artifact-rich formula, by default the noisy-OR
+    network with 4 parents."""
+    formula = gen_noisy_or(4) if formula is None else formula
+    (tmp_path / "n.bool").write_text(ddnnf.format_formula(formula) + "\n")
     assert main(["tseitin", str(tmp_path / "n.bool")]) == 0
     assert main(["compile", str(tmp_path / "n.cnf"), "--heuristic", "dyn"]) == 0
     capsys.readouterr()
@@ -119,6 +121,56 @@ class TestCompilePruneCount:
             "artifacts_degenerate=7\nfrac_p=0.704545\nfrac_t=0.386364\n"
         )
         for mode, digest in expected_nnf.items():
+            out = tmp_path / f"{mode}.nnf"
+            code, _, _ = _run(capsys, "prune", str(nnf), "--mode", mode, "-o", str(out))
+            assert code == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+            assert (tmp_path / f"{mode}.nnf.report").read_text() == expected_report
+
+    @pytest.mark.parametrize(
+        "family, n, digest_p, digest_t, expected_report",
+        [
+            ("noisy_or", 8,
+             "d2eac20f34982445d32b06fdb3f55482582405a39234dd6ed60eea8e3ab4cd71",
+             "8aeddf48e7d5e83a568adf5fe31a32f3158cef2718aa25fc4d4d4bc877b97f27",
+             "before=110\nafter_p=81\nafter_t=37\nartifacts=22\nartifacts_internal=7\n"
+             "artifacts_degenerate=15\nfrac_p=0.736364\nfrac_t=0.336364\n"),
+            ("noisy_or", 16,
+             "539a35cfd6c428a5a082a8477837938774695bbdf77e78190607f5b9d01f1f99",
+             "7f8004ac3ca854e742b9b6f98f6fb2f557373c30e2e516aa735165e0a2f01e99",
+             "before=290\nafter_p=229\nafter_t=77\nartifacts=46\nartifacts_internal=15\n"
+             "artifacts_degenerate=31\nfrac_p=0.789655\nfrac_t=0.265517\n"),
+            ("noisy_or", 32,
+             "1f8e3fcc78af8dd49d51bcc8bf2a38609a5c44a69274c9fdba3a078b64d2164f",
+             "d2ff2279e996c4d44e9078f94ff89882e6e14226993f5691f5c0849d6c5e6f4c",
+             "before=842\nafter_p=717\nafter_t=157\nartifacts=94\nartifacts_internal=31\n"
+             "artifacts_degenerate=63\nfrac_p=0.851544\nfrac_t=0.186461\n"),
+            ("overlap", 8,
+             "7f97541f80d8d787eb1481e79217cf5ded217d29db95c1e628be09981122a2fd",
+             "883a171f0ab4d1051b05a23c2c5453bc97a35cff77d23d457404b83232ebaa46",
+             "before=109\nafter_p=80\nafter_t=36\nartifacts=22\nartifacts_internal=7\n"
+             "artifacts_degenerate=15\nfrac_p=0.733945\nfrac_t=0.330275\n"),
+            ("overlap", 16,
+             "c93e44ab0267a437d7ceed288e1bb6e28a338cd27f27ab2ee929ba4be27facad",
+             "4151121e3aca5a5fce13026249edab20189be398e560643efe865225d9b1b556",
+             "before=289\nafter_p=228\nafter_t=76\nartifacts=46\nartifacts_internal=15\n"
+             "artifacts_degenerate=31\nfrac_p=0.788927\nfrac_t=0.262976\n"),
+            ("overlap", 32,
+             "2348dd637d28cb490e2828574b8f0ec37b11546705ee90fd1a2443a44cc83a3c",
+             "bf0fd76eeefcfd0e6a8356b68569dc2cdcfd5c842c8159619fa54d16d0a42e5b",
+             "before=841\nafter_p=716\nafter_t=156\nartifacts=94\nartifacts_internal=31\n"
+             "artifacts_degenerate=63\nfrac_p=0.851367\nfrac_t=0.185493\n"),
+        ],
+    )
+    def test_prune_output_bytes_pinned_internal_roots(
+        self, tmp_path, capsys, family, n, digest_p, digest_t, expected_report
+    ):
+        # Recorded before prune stopped building the quantified-only circuit
+        # it only measured; these circuits have internal artifact roots, so
+        # --mode p and --mode t write different circuits.
+        formula = {"noisy_or": gen_noisy_or, "overlap": gen_overlapping_disjunction}[family](n)
+        nnf = _noisy_or_pipeline(tmp_path, capsys, formula)
+        for mode, digest in (("p", digest_p), ("t", digest_t)):
             out = tmp_path / f"{mode}.nnf"
             code, _, _ = _run(capsys, "prune", str(nnf), "--mode", mode, "-o", str(out))
             assert code == 0
@@ -274,6 +326,27 @@ class TestBench:
         code, out, _ = _run(capsys, "bench", "--family", "overlap", "--sizes", "2,3")
         assert code == 0
         assert "overlap_n3" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 1500 + "a" + ")" * 1500 + "\n",
+        "".join(f"x{i} & (" for i in range(1200)) + "y" + ")" * 1200 + "\n",
+    ],
+    ids=["parentheses_1500", "conjunction_1200"],
+)
+def test_deeply_nested_formula_exits_without_traceback(tmp_path, text):
+    path = tmp_path / "deep.bool"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(ddnnf.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddnnf", "tseitin", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip() == "error: input nested too deeply"
 
 
 def test_usage_error_exit_code(capsys):

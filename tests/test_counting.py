@@ -301,6 +301,22 @@ class TestExactWeighted:
                     with pytest.raises(MissingWeightError, match=f"literal {lit}$"):
                         weighted_model_count(circuit, weights)
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_missing_gap_weight_names_the_same_literal(self, exact):
+        # x1 decides between x1 & (x3, x17, x18, x30) and !x1, so the second
+        # child misses those four variables. Only their negative weights are
+        # missing, and only from the gap. Literal recorded from the fold before
+        # varsets became bitmasks.
+        c = Circuit(range(1, 41))
+        hi = c.add_and([c.add_literal(v) for v in (1, 3, 17, 18, 30)])
+        c.set_root(c.add_or([hi, c.add_literal(-1)], decision=1))
+        lits = {v: Fraction(1, 3) for v in range(1, 41)}
+        lits.update({-v: Fraction(2, 3) for v in range(1, 41) if v not in (18, 30)})
+        if not exact:
+            lits = {x: float(w) for x, w in lits.items()}
+        with pytest.raises(MissingWeightError, match="literal -18$"):
+            weighted_model_count(c, WeightMap(lits, default=None))
+
 
 @pytest.mark.parametrize(
     "family, pruned, random_weights, expected",

@@ -13,6 +13,8 @@ from ddnnf import (
     model_count,
     parse_dimacs,
     parse_formula,
+    parse_nnf,
+    size,
     tseitin_transform,
     write_nnf,
 )
@@ -232,3 +234,85 @@ def test_prop1_iff_on_hand_built_artifact():
     c = _gate_circuit()
     assert is_tautology_after_exists(c, {6})
     assert not is_tautology_after_exists(c, frozenset())
+
+
+# x5 <=> (x1 & x2) under x3, with x5 designated. The artifact root (node 10)
+# and the non-artifact OR of node 7 share the subtree (!x1 | (x1 & !x2)) with
+# the other branch of the root.
+SHARED_ARTIFACT_C2D = """nnf 16 17 5
+c universe 1 2 3 5
+c tseitin 5
+L 1
+L 2
+L 5
+A 3 0 1 2
+L -1
+L -2
+A 2 0 5
+O 1 2 4 6
+L -5
+A 2 8 7
+O 5 2 3 9
+L 3
+A 2 11 10
+L -3
+A 2 13 7
+O 3 2 12 14
+"""
+
+
+# Quantifying x3 turns node 7 into x1 | x2, an OR over the same children as
+# the AND of node 2. Nodes 7 and 15 (x5 <=> x4) are internal artifact roots.
+SAME_CHILDREN_C2D = """nnf 17 18 5
+c tseitin 3 5
+L 1
+L 2
+A 2 0 1
+L 3
+A 2 3 0
+L -3
+A 2 5 1
+O 3 2 4 6
+O 0 2 2 7
+L 5
+L 4
+A 2 9 10
+L -5
+L -4
+A 2 12 13
+O 5 2 11 14
+A 2 8 15
+"""
+
+
+class TestSizeAfterExists:
+    """The report's quantified-only size equals the size of the circuit that
+    quantification alone builds."""
+
+    def _check(self, circuit):
+        pruned, report = prune(circuit)
+        exists_only = exists_quantify(circuit, circuit.tseitin_vars)
+        assert report.size_after_exists == size(exists_only)
+        assert report.size_after_artifacts == size(pruned)
+        return report
+
+    def test_shared_artifact_subtree(self):
+        circuit = parse_nnf(SHARED_ARTIFACT_C2D)
+        report = self._check(circuit)
+        assert report.artifact_node_ids == [10]
+        assert report.size_after_artifacts < report.size_after_exists
+
+    def test_and_and_or_over_same_children(self):
+        report = self._check(parse_nnf(SAME_CHILDREN_C2D))
+        assert report.artifacts_internal == 2
+
+    def test_random_compiled_circuits(self):
+        rng = random.Random(53)
+        internal = 0
+        for i in range(150):
+            cnf = random_cnf(rng, max_vars=12, max_clauses=20, gate_prob=0.8)
+            cnf = replace(cnf, tseitin_vars=detect_tseitin_vars(cnf))
+            order = ("input", "dynamic", "random")[i % 3]
+            circuit = compile_cnf(cnf, CompileConfig(order=order, seed=i))
+            internal += self._check(circuit).artifacts_internal
+        assert internal > 0
