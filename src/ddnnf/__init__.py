@@ -21,12 +21,10 @@ from .circuit import (
 )
 from .cnf import (
     CnfInstance,
-    condition,
     detect_tseitin_vars,
     format_tvars,
     parse_dimacs,
     parse_tvars,
-    split_components,
     write_dimacs,
 )
 from .compiler import CompileBudgetError, CompileConfig, parse_nnf

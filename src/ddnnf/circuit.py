@@ -3,8 +3,10 @@ structural property checks, and c2d-style NNF serialization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
 from itertools import compress, count
+from operator import or_
+from typing import NamedTuple
 
 TRUE, FALSE, LIT, AND, OR = "T", "F", "L", "A", "O"
 
@@ -19,17 +21,15 @@ def mask_bits(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
-def reached_from(root: int, children, stop=frozenset()) -> bytearray:
-    """Byte i is 1 iff node i is reached from ``root`` through no node of
-    ``stop`` above it. ``children(i)`` gives the ids below node i, which are
-    all smaller than i, so one downward sweep marks them all."""
-    marks = bytearray(root + 1)
-    marks[root] = 1
+def reached_from(root: int, children, stop=frozenset()) -> set[int]:
+    """The ids reached from ``root`` through no node of ``stop`` above them.
+    ``children(i)`` gives the ids below node i, which are all smaller than
+    i, so one downward sweep finds them all."""
+    reached = {root}
     for nid in range(root, -1, -1):
-        if marks[nid] and nid not in stop:
-            for c in children(nid):
-                marks[c] = 1
-    return marks
+        if nid in reached and nid not in stop:
+            reached.update(children(nid))
+    return reached
 
 
 def mask_of(variables) -> int:
@@ -40,8 +40,10 @@ def mask_of(variables) -> int:
     return mask
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
+class Node(NamedTuple):
+    """One arena node. A tuple: building one skips a dataclass ``__init__``,
+    which matters because parsing and pruning build one per line or node."""
+
     kind: str
     lit: int = 0
     children: tuple[int, ...] = ()
@@ -121,16 +123,17 @@ class Circuit:
         nid = self._dedup.get(key)
         if nid is not None:
             return nid
-        if kids[0] < 0 or kids[-1] >= len(self._nodes):
-            bad = next(c for c in kids if not 0 <= c < len(self._nodes))
-            raise ValueError(f"unknown child id {bad}")
         nodes = self._nodes
-        mask = 0
-        for c in kids:
-            mask |= nodes[c].mask
-        nid = self._append(key, Node(kind, children=kids, decision=decision, mask=mask))
+        nid = len(nodes)
+        if kids[0] < 0 or kids[-1] >= nid:
+            bad = next(c for c in kids if not 0 <= c < nid)
+            raise ValueError(f"unknown child id {bad}")
+        masks = [nodes[c].mask for c in kids]
+        mask = reduce(or_, masks)
+        nodes.append(Node(kind, 0, kids, decision, mask))
+        self._dedup[key] = nid
         # The masks of pairwise disjoint children add up to their union.
-        if kind == AND and sum([nodes[c].mask for c in kids]) != mask:
+        if kind == AND and sum(masks) != mask:
             self._overlapping_ands.append(nid)
         return nid
 
@@ -154,8 +157,8 @@ class Circuit:
         root = self.root
         if self._reachable[0] != root:
             nodes = self._nodes
-            marks = reached_from(root, lambda nid: nodes[nid].children)
-            self._reachable = (root, tuple(compress(range(root + 1), marks)))
+            reached = reached_from(root, lambda nid: nodes[nid].children)
+            self._reachable = (root, tuple(sorted(reached)))
         return self._reachable[1]
 
     def __eq__(self, other) -> bool:

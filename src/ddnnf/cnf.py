@@ -1,5 +1,5 @@
-"""CNF instances: DIMACS I/O, conditioning, component splitting, and
-reverse-engineering of gate-defined (Tseitin) variables."""
+"""CNF instances: DIMACS I/O and reverse-engineering of gate-defined
+(Tseitin) variables."""
 
 from __future__ import annotations
 
@@ -147,72 +147,6 @@ def parse_tvars(text: str) -> frozenset[int]:
     if len(values) != count:
         warnings.warn(f"tvars header declares {count}, found {len(values)}", stacklevel=2)
     return frozenset(values)
-
-
-# ---------------------------------------------------------------------------
-# Conditioning and components
-
-
-def condition(cnf: CnfInstance, lit: int) -> CnfInstance:
-    """Condition on ``lit``: satisfied clauses vanish, the complementary
-    literal is deleted. The variable stays in the universe as a free var."""
-    if lit == 0 or abs(lit) > cnf.num_vars:
-        raise ValueError(f"literal {lit} out of range")
-    new_clauses = []
-    for clause in cnf.clauses:
-        if lit in clause:
-            continue
-        if -lit in clause:
-            new_clauses.append(tuple(l for l in clause if l != -lit))
-        else:
-            new_clauses.append(clause)
-    return CnfInstance(cnf.num_vars, tuple(new_clauses), cnf.tseitin_vars)
-
-
-def split_components(cnf: CnfInstance) -> list[CnfInstance]:
-    """Partition clauses into variable-disjoint groups (union-find).
-
-    Empty clauses, having no variables, are grouped into one leading
-    component. Each component keeps the parent's num_vars; its tseitin set is
-    restricted to the variables it mentions.
-    """
-    parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for clause in cnf.clauses:
-        for l in clause:
-            parent.setdefault(abs(l), abs(l))
-        for l in clause[1:]:
-            union(abs(clause[0]), abs(l))
-
-    groups: dict[int, list[Clause]] = {}
-    empties: list[Clause] = []
-    for clause in cnf.clauses:
-        if not clause:
-            empties.append(clause)
-            continue
-        groups.setdefault(find(abs(clause[0])), []).append(clause)
-
-    components = []
-    if empties:
-        components.append(CnfInstance(cnf.num_vars, tuple(empties), frozenset()))
-    for root in sorted(groups, key=lambda r: min(abs(l) for c in groups[r] for l in c)):
-        group = groups[root]
-        group_vars = {abs(l) for c in group for l in c}
-        components.append(
-            CnfInstance(cnf.num_vars, tuple(group), cnf.tseitin_vars & group_vars)
-        )
-    return components
 
 
 # ---------------------------------------------------------------------------

@@ -301,34 +301,45 @@ def parse_nnf(text: str, format: str = "c2d") -> Circuit:
     return circuit
 
 
+# First characters that make a line a node line at a glance: its first token
+# is then neither a comment nor the header.
+_NODE_STARTS = frozenset("LAO")
+_NOT_NODES = ("c", "nnf")
+
+
 def _parse_c2d(text: str) -> Circuit:
+    # First pass: the header and the directives, which may come anywhere;
+    # node lines are only counted. Second pass: each node line is split once
+    # and its node added.
+    lines = text.splitlines()
     header = None
     universe: frozenset[int] | None = None
     tseitin: frozenset[int] = frozenset()
-    node_lines: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        if not fields:
-            continue
-        if fields[0] == "c":
-            if len(fields) > 1 and fields[1] == "universe":
-                universe = frozenset(int(t) for t in fields[2:])
-            elif len(fields) > 1 and fields[1] == "tseitin":
-                tseitin = frozenset(int(t) for t in fields[2:])
-            continue
-        if fields[0] == "nnf":
-            if header is not None:
-                raise NnfFormatError(f"line {lineno}: duplicate header")
-            try:
-                header = tuple(int(t) for t in fields[1:])
-            except ValueError:
-                header = None
-            if header is None or len(header) != 3:
-                raise NnfFormatError(f"line {lineno}: malformed header {raw.strip()!r}")
-            continue
+    found = 0  # node lines
+    for lineno, raw in enumerate(lines, start=1):
+        if raw[:1] not in _NODE_STARTS:
+            fields = raw.split()
+            if not fields:
+                continue
+            if fields[0] == "c":
+                if len(fields) > 1 and fields[1] == "universe":
+                    universe = frozenset(int(t) for t in fields[2:])
+                elif len(fields) > 1 and fields[1] == "tseitin":
+                    tseitin = frozenset(int(t) for t in fields[2:])
+                continue
+            if fields[0] == "nnf":
+                if header is not None:
+                    raise NnfFormatError(f"line {lineno}: duplicate header")
+                try:
+                    header = tuple(int(t) for t in fields[1:])
+                except ValueError:
+                    header = None
+                if header is None or len(header) != 3:
+                    raise NnfFormatError(f"line {lineno}: malformed header {raw.strip()!r}")
+                continue
         if header is None:
             raise NnfFormatError(f"line {lineno}: node before 'nnf' header")
-        node_lines.append((lineno, fields))
+        found += 1
 
     if header is None:
         raise NnfFormatError("missing 'nnf' header")
@@ -339,12 +350,10 @@ def _parse_c2d(text: str) -> Circuit:
         raise NnfFormatError("universe directive outside header variable range")
     if not tseitin <= universe:
         raise NnfFormatError("tseitin directive outside universe")
-    if not node_lines:
+    if not found:
         raise NnfFormatError("no nodes")
-    if num_nodes != len(node_lines):
-        warnings.warn(
-            f"header declares {num_nodes} nodes, found {len(node_lines)}", stacklevel=3
-        )
+    if num_nodes != found:
+        warnings.warn(f"header declares {num_nodes} nodes, found {found}", stacklevel=3)
 
     circuit = Circuit(universe, tseitin)
     ids: list[int] = []
@@ -355,7 +364,10 @@ def _parse_c2d(text: str) -> Circuit:
             raise NnfFormatError(f"line {lineno}: dangling node reference {bad}")
         return [ids[i] for i in refs]
 
-    for lineno, fields in node_lines:
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields or fields[0] in _NOT_NODES:
+            continue
         tag = fields[0]
         try:
             args = list(map(int, fields[1:]))
@@ -438,7 +450,9 @@ def _parse_d4(text: str) -> Circuit:
     built: dict[int, int] = {}
     in_progress: set[int] = set()
 
-    def build(nid: int) -> int:
+    # A generator run by _run, so a deep circuit needs no Python recursion:
+    # ``yield build(dst)`` gives the id of node ``dst``.
+    def build(nid: int):
         if nid in built:
             return built[nid]
         if nid in in_progress:
@@ -454,7 +468,7 @@ def _parse_d4(text: str) -> Circuit:
                 raise NnfFormatError(f"node {nid} has no outgoing edges")
             parts = []
             for dst, lits in edges[nid]:
-                conj = [circuit.add_literal(l) for l in lits] + [build(dst)]
+                conj = [circuit.add_literal(l) for l in lits] + [(yield build(dst))]
                 parts.append(conj[0] if len(conj) == 1 else circuit.add_and(conj))
             result = circuit.add_or(parts)
         else:
@@ -463,11 +477,11 @@ def _parse_d4(text: str) -> Circuit:
             flat: list[int] = []
             for dst, lits in edges[nid]:
                 flat.extend(circuit.add_literal(l) for l in lits)
-                flat.append(build(dst))
+                flat.append((yield build(dst)))
             result = flat[0] if len(flat) == 1 else circuit.add_and(flat)
         in_progress.discard(nid)
         built[nid] = result
         return result
 
-    circuit.set_root(build(first_node))
+    circuit.set_root(_run(build(first_node)))
     return circuit

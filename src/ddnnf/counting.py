@@ -70,8 +70,10 @@ class WeightMap:
 def annotate_counts(circuit: Circuit) -> CountAnnotation:
     """Exact model count per node, over that node's own variable set."""
     counts: CountAnnotation = {}
+    nvars: dict[int, int] = {}  # popcount of each node's mask
     for nid in circuit.reachable():
         node = circuit.node(nid)
+        nvars[nid] = n = node.mask.bit_count()
         if node.kind == TRUE or node.kind == LIT:
             counts[nid] = 1
         elif node.kind == FALSE:
@@ -79,11 +81,7 @@ def annotate_counts(circuit: Circuit) -> CountAnnotation:
         elif node.kind == AND:
             counts[nid] = math.prod(map(counts.__getitem__, node.children))
         else:
-            nvars = node.mask.bit_count()
-            counts[nid] = sum(
-                counts[c] << (nvars - circuit.node(c).mask.bit_count())
-                for c in node.children
-            )
+            counts[nid] = sum(counts[c] << (n - nvars[c]) for c in node.children)
     return counts
 
 
@@ -142,25 +140,7 @@ def _scale(w, denominator: int) -> int:
 
 
 def _weighted_fold(circuit: Circuit, weights: WeightMap):
-    # pair_sums[v] is w(v) + w(-v). A variable whose pair sum cannot be
-    # formed has its bit in ``unpaired``; a gap reaching one forms it again,
-    # for the lowest such variable, which raises for the same literal as
-    # walking the gap in ascending order would.
-    pair_sums: list[object] = [0] * (max(circuit.universe, default=0) + 1)
-    unpaired = 0
-    for v in circuit.universe:
-        try:
-            pair_sums[v] = weights.pair_sum(v)
-        except MissingWeightError:
-            unpaired |= 1 << v
-
-    def gap_factor(gap: int):
-        # Multiplies in ascending variable order, which fixes float rounding.
-        if gap & unpaired:
-            low = gap & unpaired
-            weights.pair_sum((low & -low).bit_length() - 1)
-        return math.prod(compress(pair_sums, mask_bits(gap)))
-
+    gap_factor = _gap_factors(circuit.universe, weights)
     values: dict[int, object] = {}
     for nid in circuit.reachable():
         node = circuit.node(nid)
@@ -181,6 +161,53 @@ def _weighted_fold(circuit: Circuit, weights: WeightMap):
             )
     root = circuit.node(circuit.root)
     return values[circuit.root] * gap_factor(mask_of(circuit.universe) ^ root.mask)
+
+
+def _gap_factors(universe, weights: WeightMap):
+    """The function from a gap (the mask of the variables an OR child, or the
+    root, leaves out) to the product of their pair sums ``w(v) + w(-v)``.
+
+    Pair sums that cannot change a product are taken out of the one-by-one
+    multiplication, the "neutral sum" case of algebraic model counting
+    (Kimmig, Van den Broeck & De Raedt, JAL 2017). When every pair sum is an
+    int, the most common one, p, becomes one power ``p ** k``. When every
+    pair sum is a float, those equal to 1.0 are dropped: multiplying a float
+    by 1.0 leaves it unchanged, and a gap of 1.0s alone gives 1.0. The rest
+    are multiplied in ascending variable order, which fixes float rounding;
+    an empty gap gives 1.
+    """
+    pair_sums: list[object] = [0] * (max(universe, default=0) + 1)
+    # A variable whose pair sum cannot be formed has its bit in ``unpaired``;
+    # a gap reaching one forms it again, for the lowest such variable, which
+    # raises for the same literal as walking the gap in ascending order would.
+    unpaired = 0
+    masks: dict[object, int] = {}  # pair sum -> the variables that have it
+    for v in universe:
+        try:
+            pair_sums[v] = s = weights.pair_sum(v)
+        except MissingWeightError:
+            unpaired |= 1 << v
+        else:
+            masks[s] = masks.get(s, 0) | 1 << v
+    kinds = set(map(type, masks))
+    neutral, take_out = 0, None
+    if kinds == {int}:
+        common = max(masks, key=lambda s: masks[s].bit_count())
+        neutral, take_out = masks[common], common.__pow__
+    elif kinds == {float}:
+        neutral, take_out = masks.get(1.0, 0), lambda k: 1.0
+    rest = ~neutral
+
+    def gap_factor(gap: int):
+        if gap & unpaired:
+            low = gap & unpaired
+            weights.pair_sum((low & -low).bit_length() - 1)
+        kept = gap & rest
+        product = math.prod(compress(pair_sums, mask_bits(kept))) if kept else 1
+        taken = gap & neutral
+        return take_out(taken.bit_count()) * product if taken else product
+
+    return gap_factor
 
 
 def _require_decomposable(circuit: Circuit) -> None:

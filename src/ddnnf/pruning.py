@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partialmethod
-from itertools import compress
 
 from .circuit import AND, FALSE, LIT, OR, TRUE, Circuit, mask_of, reached_from, size
 from .counting import CountAnnotation, annotate_counts
@@ -99,7 +98,7 @@ def detect_artifacts(circuit: Circuit, counts: CountAnnotation | None = None) ->
     if circuit.root is None:
         return set()
     below = reached_from(circuit.root, lambda nid: circuit.node(nid).children, flagged)
-    return {nid for nid in flagged if below[nid]}
+    return flagged & below
 
 
 def prune(circuit: Circuit, verify: bool = False) -> tuple[Circuit, PruneReport]:
@@ -249,5 +248,5 @@ class _SizeSink:
 
     def size(self, root: int) -> int:
         """``circuit.size`` of the nodes reachable from ``root``."""
-        marks = reached_from(root, self._children.__getitem__)
-        return sum(len(kids) - 1 for kids in compress(self._children, marks) if kids)
+        reached = map(self._children.__getitem__, reached_from(root, self._children.__getitem__))
+        return sum(len(kids) - 1 for kids in reached if kids)

@@ -5,19 +5,17 @@ from hypothesis import given, settings
 
 from ddnnf import (
     CnfInstance,
-    condition,
     detect_tseitin_vars,
     format_tvars,
     parse_dimacs,
     parse_tvars,
-    split_components,
     tseitin_transform,
     write_dimacs,
 )
 from ddnnf.cnf import DimacsError, normalize_clause
 from ddnnf.oracle import enumerate_models
 
-from helpers import cnf_strategy, random_formula
+from helpers import cnf_strategy, condition, random_formula, split_components
 
 # Seven clauses over a,b,c,d,x1,x2 = 1..6: the encoded overlapping
 # disjunction used throughout the suite.

@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddnnf import (
     CnfInstance,
@@ -21,13 +22,15 @@ from ddnnf.compiler import (
     CompileBudgetError,
     CompileConfig,
     NnfFormatError,
+    _occurrences,
+    _propagate,
     compile,
     component_key,
 )
 from ddnnf.bench import gen_mutex_cpt, gen_noisy_or, gen_overlapping_disjunction
 from ddnnf.oracle import circuit_truth_tables, enumerate_models
 
-from helpers import cnf_strategy, random_cnf
+from helpers import cnf_strategy, condition, random_cnf, split_components
 from test_cnf import OVERLAP_DIMACS
 
 
@@ -205,6 +208,47 @@ class TestDeepInputs:
         assert model_count(circuit) == 4**n - 3**n
 
 
+def _propagate_reference(cnf, lit):
+    # Condition on ``lit`` (0: on nothing), then on the first unit clause in
+    # clause order until none is left, then split into components.
+    units = []
+    while True:
+        if lit:
+            cnf = condition(cnf, lit)
+        if any(not c for c in cnf.clauses):
+            return None
+        lit = next((c[0] for c in cnf.clauses if len(c) == 1), 0)
+        if not lit:
+            return units, [comp.clauses for comp in split_components(cnf)]
+        units.append(lit)
+
+
+class TestPropagate:
+    @given(cnf_strategy(max_vars=8, max_clauses=16), st.integers(min_value=-8, max_value=8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_one_unit_at_a_time(self, cnf, lit):
+        if abs(lit) > cnf.num_vars:
+            lit = 0
+        clauses = cnf.clauses
+        assert _propagate(clauses, _occurrences(clauses), lit) == _propagate_reference(cnf, lit)
+
+    def test_matches_on_unnormalized_clauses(self):
+        # Repeated literals, tautologies, unit and empty clauses, as a
+        # CnfInstance built directly keeps them.
+        rng = random.Random(5)
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            clauses = [
+                tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 3)))
+                for _ in range(rng.randint(0, 12))
+            ]
+            clauses = [c for c in clauses if c or rng.random() < 0.1]
+            cnf = CnfInstance(n, tuple(clauses))
+            for lit in (0, rng.randint(1, n), -rng.randint(1, n)):
+                got = _propagate(cnf.clauses, _occurrences(cnf.clauses), lit)
+                assert got == _propagate_reference(cnf, lit)
+
+
 def test_component_key_canonical():
     assert component_key([(1, 2), (3,)]) == component_key([(3,), (1, 2), (1, 2)])
     assert component_key([(1, 2)]) != component_key([(1, 3)])
@@ -257,6 +301,39 @@ class TestParseC2d:
         with pytest.raises(NnfFormatError):
             parse_nnf("nnf 3 2 1\nL 1\nL -1\nA 2 0 1")
 
+    # Messages and line numbers recorded from the reader that kept every
+    # line's tokens before building any node.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (  # comments and a blank line between node lines count as lines
+                "nnf 4 3 2\nc first\nL 1\nc between nodes\n\nL 2\nc universe 1 2\n"
+                "A 2 0 1\nc last\nO 0 2 2 x",
+                "line 10: non-integer argument",
+            ),
+            (  # a universe directive after the node lines still applies
+                "nnf 3 2 3\nL 1\nL 3\nA 2 0 1\nc universe 1 2",
+                "line 3: literal 3 out of range",
+            ),
+            ("nnf 3 2 2\nL 1\nL 2\nA 2 0 99", "line 4: dangling node reference 99"),
+            ("nnf 3 2 2\nL 1\nL 2\nA 2 -1 1", "line 4: dangling node reference -1"),
+            ("nnf 2 1 1\nL 1\nA 1 zero", "line 3: non-integer argument"),
+            ("nnf 1 0 1\nL one", "line 2: non-integer argument"),
+            ("nnf 2 1 1\nL 1\nX 1 0", "line 3: unknown node tag 'X'"),
+            ("c hello\nL 1\nnnf 1 0 1", "line 2: node before 'nnf' header"),
+            ("nnf 1 0 1\nL 1\nnnf 1 0 1", "line 3: duplicate header"),
+        ],
+    )
+    def test_error_message_pinned(self, text, message):
+        with pytest.raises(NnfFormatError, match=f"^{message}$"):
+            parse_nnf(text)
+
+    def test_node_count_mismatch_warning_pinned(self):
+        with pytest.warns(UserWarning, match="^header declares 5 nodes, found 3$") as record:
+            circuit = parse_nnf("nnf 5 2 2\nL 1\nc between\nL 2\nA 2 0 1")
+        assert record[0].filename == __file__
+        assert size(circuit) == 1
+
 
 class TestParseD4:
     def test_or_with_guarded_edge(self):
@@ -285,6 +362,16 @@ class TestParseD4:
         circuit = parse_nnf("1 o 0\n2 t 0\n3 t 0\n1 2 -1 0\n1 3 1 2 0", format="d4")
         again = parse_nnf(write_nnf(circuit))
         assert enumerate_models(again).models == enumerate_models(circuit).models
+
+    def test_deep_chain(self):
+        # 3,000 nested OR nodes, each with one edge guarded by its own
+        # literal: x1 & ... & x3000, one model.
+        n = 3000
+        lines = [f"{k} o 0" for k in range(1, n + 1)] + [f"{n + 1} t 0"]
+        lines += [f"{k} {k + 1} {k} 0" for k in range(1, n + 1)]
+        circuit = parse_nnf("\n".join(lines), format="d4")
+        assert len(circuit.universe) == n
+        assert model_count(circuit) == 1
 
     def test_undeclared_node(self):
         with pytest.raises(NnfFormatError):

@@ -10,6 +10,7 @@ from ddnnf import (
     WeightMap,
     annotate_counts,
     compile_cnf,
+    detect_tseitin_vars,
     model_count,
     parse_dimacs,
     prune,
@@ -316,6 +317,110 @@ class TestExactWeighted:
             lits = {x: float(w) for x, w in lits.items()}
         with pytest.raises(MissingWeightError, match="literal -18$"):
             weighted_model_count(c, WeightMap(lits, default=None))
+
+
+def _sequential_wmc(circuit, weights):
+    """The weighted fold one multiplication at a time: node values bottom-up,
+    every pair sum of a gap multiplied in, in ascending variable order,
+    starting from 1. A map of ints and Fractions with at least one Fraction
+    gives a Fraction."""
+
+    def gap_factor(variables):
+        product = 1
+        for v in sorted(variables):
+            product = product * weights.pair_sum(v)
+        return product
+
+    values = {}
+    for nid in circuit.reachable():
+        node = circuit.node(nid)
+        if node.kind == "T":
+            values[nid] = 1
+        elif node.kind == "F":
+            values[nid] = 0
+        elif node.kind == "L":
+            values[nid] = weights.weight(node.lit)
+        elif node.kind == "A":
+            product = 1
+            for c in node.children:
+                product = product * values[c]
+            values[nid] = product
+        else:
+            # sum(), as the library adds: Python 3.12 compensates float sums.
+            values[nid] = sum(
+                [values[c] * gap_factor(node.varset - circuit.node(c).varset)
+                 for c in node.children]
+            )
+    root = circuit.node(circuit.root)
+    total = values[circuit.root] * gap_factor(circuit.universe - root.varset)
+    exact = [w for w in (*weights.literal_weights.values(), weights.default) if w is not None]
+    if all(isinstance(w, (int, Fraction)) for w in exact) and any(
+        isinstance(w, Fraction) for w in exact
+    ):
+        return Fraction(total)
+    return total
+
+
+def _pinned_weight_maps(rng, universe):
+    """Weight maps whose pair sums the fold may take out of a gap's product,
+    and maps whose pair sums it may not."""
+    vs = sorted(universe)
+    maps = []
+    # Floats: pair sums mostly exactly 1.0, some one ulp off 1.0, some
+    # repeating a common other value, some arbitrary.
+    lits = {}
+    for v in vs:
+        shape = rng.random()
+        if shape < 0.6:
+            w = Fraction(rng.randint(1, 999), 1000)
+            lits[v], lits[-v] = float(w), float(1 - w)
+        elif shape < 0.7:
+            lits[v], lits[-v] = 0.5, rng.choice((0.4999999999999999, 0.5000000000000001))
+        elif shape < 0.85:
+            lits[v], lits[-v] = 0.7, 0.6
+        else:
+            lits[v], lits[-v] = rng.random(), rng.random()
+    maps.append(WeightMap(lits, default=None))
+    # Exact: one dominant pair sum (1 before scaling), a few others.
+    lits = {}
+    for v in vs:
+        w = Fraction(rng.randint(1, 999), 1000)
+        lits[v], lits[-v] = (w, 1 - w) if rng.random() < 0.8 else (w, Fraction(rng.randint(1, 9), 7))
+    maps.append(WeightMap(lits, default=None))
+    # ints with a dominant pair sum
+    maps.append(WeightMap({x: rng.choice((1, 1, 1, 2, -3)) for v in vs for x in (v, -v)}, default=None))
+    # No pair sum repeated: floats, Fractions, ints, and floats mixed with ints.
+    maps.append(WeightMap({x: rng.random() for v in vs for x in (v, -v)}, default=None))
+    maps.append(WeightMap({v: Fraction(1, v + 1) for v in vs} | {-v: Fraction(v, 3) for v in vs}, default=None))
+    maps.append(WeightMap({v: 2 * v for v in vs} | {-v: v for v in vs}, default=None))
+    maps.append(WeightMap({x: 2 * v if v % 2 else v + 0.25 for v in vs for x in (v, -v)}, default=1))
+    # Missing weights: the same maps with literals left out.
+    for m in maps[:5]:
+        kept = {x: w for x, w in m.literal_weights.items() if rng.random() < 0.9}
+        maps.append(WeightMap(kept, default=None))
+    return maps
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fold_matches_sequential_reference(seed):
+    # repr and type, bit for bit, on compiled and pruned circuits; a missing
+    # weight names the same literal.
+    rng = random.Random(seed)
+    for _ in range(40):
+        cnf = random_cnf(rng, max_vars=12, max_clauses=20, gate_prob=0.5)
+        if rng.random() < 0.5:
+            cnf = CnfInstance(cnf.num_vars, cnf.clauses, detect_tseitin_vars(cnf))
+        circuit = compile_cnf(cnf, CompileConfig(order=rng.choice(["input", "dynamic"])))
+        for c in (circuit, prune(circuit)[0]):
+            for weights in _pinned_weight_maps(rng, c.universe):
+                try:
+                    expected = _sequential_wmc(c, weights)
+                except MissingWeightError as e:
+                    with pytest.raises(MissingWeightError, match=f"^{e}$"):
+                        weighted_model_count(c, weights)
+                    continue
+                got = weighted_model_count(c, weights)
+                assert (type(got), repr(got)) == (type(expected), repr(expected))
 
 
 @pytest.mark.parametrize(
