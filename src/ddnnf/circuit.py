@@ -69,12 +69,11 @@ class Circuit:
     simplifies; constant propagation belongs to the pruning pass.
     """
 
-    def __init__(self, universe, tseitin_vars=(), determinism_verified=False):
+    def __init__(self, universe, tseitin_vars=()):
         self.universe = frozenset(universe)
         self.tseitin_vars = frozenset(tseitin_vars)
         if not self.tseitin_vars <= self.universe:
             raise ValueError("tseitin_vars outside declared universe")
-        self.determinism_verified = determinism_verified
         self.root: int | None = None
         self._reachable: tuple[int | None, tuple[int, ...]] = (None, ())  # root, ids
         self._nodes: list[Node] = []

@@ -140,10 +140,14 @@ def format_tvars(tvars) -> str:
 
 def parse_tvars(text: str) -> frozenset[int]:
     lines = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
-    if not lines or not lines[0].startswith("t"):
+    header = lines[0].split() if lines else []
+    if len(header) < 2 or not header[0].startswith("t"):
         raise DimacsError("tvars sidecar must start with 't <count>'")
-    count = int(lines[0].split()[1])
-    values = [int(t) for l in lines[1:] for t in l.split()]
+    try:
+        count = int(header[1])
+        values = [int(t) for l in lines[1:] for t in l.split()]
+    except ValueError:
+        raise DimacsError("tvars sidecar: non-integer count or variable") from None
     if len(values) != count:
         warnings.warn(f"tvars header declares {count}, found {len(values)}", stacklevel=2)
     return frozenset(values)

@@ -62,11 +62,7 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
     cfg = config or CompileConfig()
     explicit = _explicit_order(cfg, cnf.num_vars)
     rank = None if explicit is None else {v: i for i, v in enumerate(explicit)}
-    circuit = Circuit(
-        universe=range(1, cnf.num_vars + 1),
-        tseitin_vars=cnf.tseitin_vars,
-        determinism_verified=True,
-    )
+    circuit = Circuit(universe=range(1, cnf.num_vars + 1), tseitin_vars=cnf.tseitin_vars)
     cache: dict[ComponentKey, int] | None = {} if cfg.cache_enabled else None
     decisions = 0
 
@@ -322,10 +318,15 @@ def _parse_c2d(text: str) -> Circuit:
             if not fields:
                 continue
             if fields[0] == "c":
-                if len(fields) > 1 and fields[1] == "universe":
-                    universe = frozenset(int(t) for t in fields[2:])
-                elif len(fields) > 1 and fields[1] == "tseitin":
-                    tseitin = frozenset(int(t) for t in fields[2:])
+                if len(fields) > 1 and fields[1] in ("universe", "tseitin"):
+                    try:
+                        variables = frozenset(map(int, fields[2:]))
+                    except ValueError:
+                        raise NnfFormatError(f"line {lineno}: non-integer argument") from None
+                    if fields[1] == "universe":
+                        universe = variables
+                    else:
+                        tseitin = variables
                 continue
             if fields[0] == "nnf":
                 if header is not None:

@@ -1,9 +1,10 @@
 """Exact model counting and weighted model counting over d-DNNF circuits.
 
-Neither pass materializes a smoothing transformation: the variables an OR
-child fails to mention ("free" at that gap) are corrected by a factor of
-2 per variable (or ``w(v) + w(!v)`` in the weighted case), and likewise for
-universe variables the root never mentions.
+Every count is one bottom-up weighted fold; a model count is the fold with
+every literal weighing 1. The fold materializes no smoothing transformation:
+the variables an OR child fails to mention ("free" at that gap) are corrected
+by a factor ``w(v) + w(!v)`` per variable (2 for a model count), and likewise
+for universe variables the root never mentions.
 """
 
 from __future__ import annotations
@@ -11,15 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import compress
+from operator import or_
 
-from .circuit import AND, FALSE, LIT, TRUE, Circuit, check_decomposable, mask_bits, mask_of
+from .circuit import AND, LIT, OR, TRUE, Circuit, check_decomposable, mask_bits, mask_of
 from .errors import ToolkitError
-
-# Per-node exact model counts, keyed by node id; each node's count is taken
-# over its own mentioned-variable set.
-CountAnnotation = dict[int, int]
-
 
 class NonDecomposableError(ToolkitError):
     pass
@@ -67,32 +65,21 @@ class WeightMap:
         return WeightMap(weights, default=Fraction(1) if exact else 1.0)
 
 
-def annotate_counts(circuit: Circuit) -> CountAnnotation:
-    """Exact model count per node, over that node's own variable set."""
-    counts: CountAnnotation = {}
-    nvars: dict[int, int] = {}  # popcount of each node's mask
-    for nid in circuit.reachable():
-        node = circuit.node(nid)
-        nvars[nid] = n = node.mask.bit_count()
-        if node.kind == TRUE or node.kind == LIT:
-            counts[nid] = 1
-        elif node.kind == FALSE:
-            counts[nid] = 0
-        elif node.kind == AND:
-            counts[nid] = math.prod(map(counts.__getitem__, node.children))
-        else:
-            counts[nid] = sum(counts[c] << (n - nvars[c]) for c in node.children)
-    return counts
+# Every literal weighs 1: every pair sum is 2, and a node's weighted count is
+# its model count.
+_UNIT = WeightMap(default=1)
+
+
+def annotate_counts(circuit: Circuit) -> dict[int, int]:
+    """Exact model count per node, over that node's own variable set: the
+    weighted fold with every literal weighing 1."""
+    return _weighted_fold(circuit, _UNIT, _gap_factors(circuit.universe, _UNIT))
 
 
 def model_count(circuit: Circuit) -> int:
-    """Exact number of models over the circuit's declared universe."""
-    _require_decomposable(circuit)
-    if circuit.root is None:
-        raise ValueError("circuit has no root")
-    counts = annotate_counts(circuit)
-    gap = len(circuit.universe) - circuit.node(circuit.root).mask.bit_count()
-    return counts[circuit.root] << gap
+    """Exact number of models over the circuit's declared universe: the
+    weighted count with every literal weighing 1."""
+    return weighted_model_count(circuit, _UNIT)
 
 
 def weighted_model_count(circuit: Circuit, weights: WeightMap):
@@ -110,14 +97,18 @@ def weighted_model_count(circuit: Circuit, weights: WeightMap):
     if circuit.root is None:
         raise ValueError("circuit has no root")
     denominator = _common_denominator(weights)
+    if denominator is not None:
+        weights = WeightMap(
+            {lit: _scale(w, denominator) for lit, w in weights.literal_weights.items()
+             if w is not None},
+            default=None if weights.default is None else _scale(weights.default, denominator),
+        )
+    gap_factor = _gap_factors(circuit.universe, weights)
+    values = _weighted_fold(circuit, weights, gap_factor)
+    root_gap = mask_of(circuit.universe) ^ circuit.node(circuit.root).mask
+    total = values[circuit.root] * gap_factor(root_gap)
     if denominator is None:
-        return _weighted_fold(circuit, weights)
-    scaled = WeightMap(
-        {lit: _scale(w, denominator) for lit, w in weights.literal_weights.items()
-         if w is not None},
-        default=None if weights.default is None else _scale(weights.default, denominator),
-    )
-    total = _weighted_fold(circuit, scaled)
+        return total
     return Fraction(total, denominator ** len(circuit.universe))
 
 
@@ -139,28 +130,24 @@ def _scale(w, denominator: int) -> int:
     return w.numerator * (denominator // w.denominator)
 
 
-def _weighted_fold(circuit: Circuit, weights: WeightMap):
-    gap_factor = _gap_factors(circuit.universe, weights)
+def _weighted_fold(circuit: Circuit, weights: WeightMap, gap_factor) -> dict[int, object]:
+    """The weighted count of every reachable node, over the variables that
+    node mentions: the one bottom-up pass behind every count."""
+    node_of, weight = circuit.node, weights.weight
     values: dict[int, object] = {}
+    value = values.__getitem__
     for nid in circuit.reachable():
-        node = circuit.node(nid)
-        if node.kind == TRUE:
-            values[nid] = 1
-        elif node.kind == FALSE:
-            values[nid] = 0
-        elif node.kind == LIT:
-            values[nid] = weights.weight(node.lit)
-        elif node.kind == AND:
+        kind, lit, children, _, mask = node_of(nid)
+        if kind == AND:
             # math.prod multiplies left to right from 1, as a loop would.
-            values[nid] = math.prod(map(values.__getitem__, node.children))
+            values[nid] = math.prod(map(value, children))
+        elif kind == OR:
+            values[nid] = sum(value(c) * gap_factor(mask ^ node_of(c).mask) for c in children)
+        elif kind == LIT:
+            values[nid] = weight(lit)
         else:
-            mask = node.mask
-            values[nid] = sum(
-                values[c] * gap_factor(mask ^ circuit.node(c).mask)
-                for c in node.children
-            )
-    root = circuit.node(circuit.root)
-    return values[circuit.root] * gap_factor(mask_of(circuit.universe) ^ root.mask)
+            values[nid] = 1 if kind == TRUE else 0
+    return values
 
 
 def _gap_factors(universe, weights: WeightMap):
@@ -176,7 +163,7 @@ def _gap_factors(universe, weights: WeightMap):
     are multiplied in ascending variable order, which fixes float rounding;
     an empty gap gives 1.
     """
-    pair_sums: list[object] = [0] * (max(universe, default=0) + 1)
+    sums: dict[int, object] = {}
     # A variable whose pair sum cannot be formed has its bit in ``unpaired``;
     # a gap reaching one forms it again, for the lowest such variable, which
     # raises for the same literal as walking the gap in ascending order would.
@@ -184,7 +171,7 @@ def _gap_factors(universe, weights: WeightMap):
     masks: dict[object, int] = {}  # pair sum -> the variables that have it
     for v in universe:
         try:
-            pair_sums[v] = s = weights.pair_sum(v)
+            sums[v] = s = weights.pair_sum(v)
         except MissingWeightError:
             unpaired |= 1 << v
         else:
@@ -197,6 +184,13 @@ def _gap_factors(universe, weights: WeightMap):
     elif kinds == {float}:
         neutral, take_out = masks.get(1.0, 0), lambda k: 1.0
     rest = ~neutral
+    # The pair sums left in the products, by variable. The list ends at the
+    # highest such variable, so neutral ones cost nothing on a sparse universe.
+    top = (reduce(or_, masks.values(), 0) & rest).bit_length()
+    pair_sums = list(map(sums.get, range(top)))
+    if not top and not unpaired:
+        # Every pair sum is neutral (unit and normalized maps).
+        return lambda gap: take_out(gap.bit_count()) if gap else 1
 
     def gap_factor(gap: int):
         if gap & unpaired:

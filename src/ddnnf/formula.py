@@ -105,20 +105,26 @@ def disj(children) -> Formula:
 
 def vars_of(f: Formula) -> set[str]:
     """All variable names mentioned in ``f``."""
-    out: set[str] = set()
+    return set(_collect_names(f))
+
+
+def _collect_names(f: Formula) -> list[str]:
+    """The variable names of ``f`` in order of first occurrence, reading
+    the formula left to right."""
+    seen: dict[str, None] = {}
     stack = [f]
     while stack:
         g = stack.pop()
         if isinstance(g, Var):
-            out.add(g.name)
+            seen.setdefault(g.name)
         elif isinstance(g, Not):
             stack.append(g.child)
         elif isinstance(g, (And, Or)):
-            stack.extend(g.children)
+            stack.extend(reversed(g.children))
         elif isinstance(g, Iff):
-            stack.append(g.left)
             stack.append(g.right)
-    return out
+            stack.append(g.left)
+    return list(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -363,27 +369,6 @@ class TseitinOutput:
         return {i: n for n, i in self.var_map.items()}
 
 
-def _collect_names(f: Formula) -> list[str]:
-    # First-occurrence order over the *input* formula, so variables that
-    # constant folding removes still count toward the CNF universe.
-    seen: dict[str, None] = {}
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Var):
-            seen.setdefault(g.name)
-        elif isinstance(g, Not):
-            walk(g.child)
-        elif isinstance(g, (And, Or)):
-            for c in g.children:
-                walk(c)
-        elif isinstance(g, Iff):
-            walk(g.left)
-            walk(g.right)
-
-    walk(f)
-    return list(seen)
-
-
 def tseitin_transform(f: Formula) -> TseitinOutput:
     """Encode ``f`` as an equisatisfiable CNF.
 
@@ -394,6 +379,8 @@ def tseitin_transform(f: Formula) -> TseitinOutput:
     ``literal <=> body`` reuses the literal as the gate head instead of
     expanding the equivalence. Auxiliary variables get the highest indices.
     """
+    # Numbered over the *input* formula, so variables that constant folding
+    # removes still count toward the CNF universe.
     names = _collect_names(f)
     index = {name: i + 1 for i, name in enumerate(names)}
     folded = const_fold(f)

@@ -169,8 +169,7 @@ def check_deterministic_oracle(circuit: Circuit, max_vars: int | None = None) ->
     """Brute-force determinism check: no two children of any OR share a
     model. Only usable on small universes (default bound 16, overridable via
     DDNNF_ORACLE_MAX_VARS). The truth tables range over the variables the
-    root mentions; the others cannot tell two children apart. Marks the
-    circuit ``determinism_verified`` when it passes."""
+    root mentions; the others cannot tell two children apart."""
     bound = max_vars if max_vars is not None else oracle_bound(16)
     if len(circuit.universe) > bound:
         raise OracleBoundError(
@@ -186,7 +185,6 @@ def check_deterministic_oracle(circuit: Circuit, max_vars: int | None = None) ->
                     for j in range(i + 1, len(kids)):
                         if tables[kids[i]] & tables[kids[j]]:
                             return False
-    circuit.determinism_verified = True
     return True
 
 

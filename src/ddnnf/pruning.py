@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import partialmethod
 
 from .circuit import AND, FALSE, LIT, OR, TRUE, Circuit, mask_of, reached_from, size
-from .counting import CountAnnotation, annotate_counts
+from .counting import annotate_counts
 from .errors import ToolkitError
 
 
@@ -78,12 +78,11 @@ def exists_quantify(circuit: Circuit, variables) -> Circuit:
     return _rebuild(circuit, xs, frozenset())
 
 
-def artifact_flags(circuit: Circuit, counts: CountAnnotation | None = None) -> set[int]:
+def artifact_flags(circuit: Circuit) -> set[int]:
     """All reachable nodes whose model count equals 2^(mentioned non-gate
     variables) -- exactly the subcircuits that become tautologies when the
     circuit's designated gate variables are forgotten."""
-    if counts is None:
-        counts = annotate_counts(circuit)
+    counts = annotate_counts(circuit)
     plain = mask_of(circuit.universe - circuit.tseitin_vars)
     flagged = set()
     for nid in circuit.reachable():
@@ -92,9 +91,9 @@ def artifact_flags(circuit: Circuit, counts: CountAnnotation | None = None) -> s
     return flagged
 
 
-def detect_artifacts(circuit: Circuit, counts: CountAnnotation | None = None) -> set[int]:
+def detect_artifacts(circuit: Circuit) -> set[int]:
     """Maximal artifact roots: flagged nodes with no flagged ancestor."""
-    flagged = artifact_flags(circuit, counts)
+    flagged = artifact_flags(circuit)
     if circuit.root is None:
         return set()
     below = reached_from(circuit.root, lambda nid: circuit.node(nid).children, flagged)
@@ -118,8 +117,7 @@ def prune(circuit: Circuit, verify: bool = False) -> tuple[Circuit, PruneReport]
     if not xs:
         return circuit, PruneReport(before, before, before, 0, [], 0, 0)
 
-    counts = annotate_counts(circuit)
-    roots = detect_artifacts(circuit, counts)
+    roots = detect_artifacts(circuit)
     # A degenerate root (a gate-variable literal or true) becomes true under
     # quantification anyway, so only AND/OR roots can change the rebuild.
     internal = frozenset(nid for nid in roots if circuit.node(nid).kind in (AND, OR))
@@ -147,21 +145,15 @@ def prune(circuit: Circuit, verify: bool = False) -> tuple[Circuit, PruneReport]
 
 
 def _assert_no_residual_artifacts(pruned: Circuit) -> None:
-    counts = annotate_counts(pruned)
-    for nid in pruned.reachable():
-        node = pruned.node(nid)
-        if node.kind in (TRUE, FALSE):
-            continue
-        if counts[nid] == 1 << node.mask.bit_count():
-            raise PruneVerificationError(f"node {nid} is still a tautology after pruning")
+    # The pruned circuit has no gate variables, so a flagged node is a
+    # tautology; true is the one that may stay.
+    residual = [nid for nid in artifact_flags(pruned) if pruned.node(nid).kind != TRUE]
+    if residual:
+        raise PruneVerificationError(f"node {min(residual)} is still a tautology after pruning")
 
 
 def _rebuild(circuit: Circuit, xs: frozenset[int], replace_true: frozenset[int]) -> Circuit:
-    out = Circuit(
-        universe=circuit.universe - xs,
-        tseitin_vars=circuit.tseitin_vars - xs,
-        determinism_verified=circuit.determinism_verified,
-    )
+    out = Circuit(universe=circuit.universe - xs, tseitin_vars=circuit.tseitin_vars - xs)
     if circuit.root is not None:
         out.set_root(_quantify(circuit, xs, replace_true, out))
     return out

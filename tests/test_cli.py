@@ -349,6 +349,25 @@ def test_deeply_nested_formula_exits_without_traceback(tmp_path, text):
     assert proc.stderr.strip() == "error: input nested too deeply"
 
 
+@pytest.mark.parametrize("tvars", ["t\n5\n", "t five\n5\n", "t 1\nx5\n"],
+                         ids=["no_count", "non_integer_count", "non_integer_var"])
+@pytest.mark.parametrize("command", ["compile", "prune"])
+def test_bad_tvars_sidecar_is_a_parse_error(tmp_path, tvars, command):
+    (tmp_path / "f.cnf").write_text("p cnf 5 1\n1 5 0\n")
+    (tmp_path / "f.nnf").write_text("nnf 1 0 5\nL 1\n")
+    (tmp_path / "bad.tvars").write_text(tvars)
+    env = dict(os.environ, PYTHONPATH=str(Path(ddnnf.__file__).parents[1]))
+    source = "f.cnf" if command == "compile" else "f.nnf"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddnnf", command, str(tmp_path / source),
+         "--tvars", str(tmp_path / "bad.tvars"), "-o", str(tmp_path / "out.nnf")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error: tvars sidecar")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

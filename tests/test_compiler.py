@@ -261,7 +261,6 @@ class TestParseC2d:
         assert root.kind == "A"
         assert {circuit.node(c).lit for c in root.children} == {1, 2}
         assert circuit.universe == {1, 2}
-        assert not circuit.determinism_verified
 
     def test_constants(self):
         assert parse_nnf("nnf 1 0 0\nA 0").node(0).kind == "T"
@@ -322,6 +321,9 @@ class TestParseC2d:
             ("nnf 2 1 1\nL 1\nX 1 0", "line 3: unknown node tag 'X'"),
             ("c hello\nL 1\nnnf 1 0 1", "line 2: node before 'nnf' header"),
             ("nnf 1 0 1\nL 1\nnnf 1 0 1", "line 3: duplicate header"),
+            # directive tokens are arguments too
+            ("nnf 1 0 2\nc universe 1 x\nL 1", "line 2: non-integer argument"),
+            ("nnf 1 0 2\nL 1\nc tseitin 2 y", "line 3: non-integer argument"),
         ],
     )
     def test_error_message_pinned(self, text, message):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,14 @@ from ddnnf import (
     detect_tseitin_vars,
     model_count,
     parse_dimacs,
+    parse_nnf,
     prune,
     tseitin_transform,
     weighted_model_count,
 )
 from ddnnf.bench import gen_mutex_cpt, gen_noisy_or, gen_overlapping_disjunction
 from ddnnf.counting import MissingWeightError, NonDecomposableError
-from ddnnf.oracle import enumerate_models
+from ddnnf.oracle import circuit_truth_tables, enumerate_models
 
 from helpers import random_cnf, random_formula
 from test_cnf import OVERLAP_DIMACS
@@ -58,6 +60,12 @@ class TestModelCount:
         c = Circuit(range(1, 6))
         c.set_root(c.add_true())
         assert model_count(c) == 32
+
+    def test_empty_universe(self):
+        c = Circuit(())
+        c.set_root(c.add_true())
+        assert repr(model_count(c)) == "1"
+        assert repr(weighted_model_count(c, WeightMap(default=0.5))) == "1"
 
     def test_false_circuit(self):
         c = Circuit(range(1, 4))
@@ -125,6 +133,43 @@ class TestAnnotate:
             counts = annotate_counts(circuit)
             for nid in circuit.reachable():
                 assert counts[nid] <= 1 << len(circuit.node(nid).varset)
+
+    def test_counts_match_oracle_tables(self):
+        # A node's table ranges over the whole universe, so it holds each
+        # model over the node's own variables 2^(free variables) times.
+        rng = random.Random(29)
+        for _ in range(80):
+            cnf = random_cnf(rng, max_vars=10, max_clauses=18, gate_prob=0.5)
+            cnf = CnfInstance(cnf.num_vars, cnf.clauses, detect_tseitin_vars(cnf))
+            compiled = compile_cnf(cnf, CompileConfig(order="dynamic"))
+            for circuit in (compiled, prune(compiled)[0]):
+                tables, _ = circuit_truth_tables(circuit)
+                counts = annotate_counts(circuit)
+                assert counts.keys() == set(circuit.reachable())
+                for nid in circuit.reachable():
+                    free = len(circuit.universe) - len(circuit.node(nid).varset)
+                    assert counts[nid] << free == tables[nid].bit_count()
+                count = model_count(circuit)
+                assert type(count) is int
+                assert count == weighted_model_count(circuit, WeightMap(default=1))
+
+    def test_sparse_universe_allocates_by_mentioned_variables(self):
+        # x1 over the universe {1, 10^7}: the variable numbers say nothing
+        # about the work or memory a count needs.
+        n = 10**7
+        circuit = parse_nnf(f"nnf 1 0 {n}\nc universe 1 {n}\nL 1\n")
+        normalized = WeightMap({1: 0.5, -1: 0.5, n: 0.25, -n: 0.75}, default=None)
+        for query, expected in (
+            (model_count, 2),
+            (lambda c: weighted_model_count(c, normalized), 0.5),
+        ):
+            tracemalloc.start()
+            try:
+                assert query(circuit) == expected
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20
 
 
 class TestWeighted:

@@ -25,6 +25,7 @@ from ddnnf.oracle import (
     is_tautology_after_exists,
 )
 from ddnnf.pruning import (
+    PruneVerificationError,
     artifact_flags,
     detect_artifacts,
     exists_quantify,
@@ -228,6 +229,18 @@ class TestPrune:
                 <= report.size_after_exists
                 <= report.size_before
             )
+
+
+def test_verify_refuses_residual_tautology():
+    # Variable 2 is declared a gate but a does not define it. (a & g) | !a
+    # has 3 models, so no node is flagged, yet forgetting g leaves a | !a.
+    # Message recorded from the check's own per-node loop.
+    c = Circuit({1, 2}, tseitin_vars={2})
+    a_g = c.add_and([c.add_literal(1), c.add_literal(2)])
+    c.set_root(c.add_or([a_g, c.add_literal(-1)], decision=1))
+    with pytest.raises(PruneVerificationError, match="^node 3 is still a tautology after pruning$"):
+        prune(c, verify=True)
+    assert prune(c)[1].artifacts_internal == 0
 
 
 def test_prop1_iff_on_hand_built_artifact():
