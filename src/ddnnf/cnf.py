@@ -139,7 +139,8 @@ def format_tvars(tvars) -> str:
 
 
 def parse_tvars(text: str) -> frozenset[int]:
-    lines = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
+    # "#" starts a comment anywhere on a line.
+    lines = [l for l in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if l]
     header = lines[0].split() if lines else []
     if len(header) < 2 or not header[0].startswith("t"):
         raise DimacsError("tvars sidecar must start with 't <count>'")

@@ -127,6 +127,48 @@ def _collect_names(f: Formula) -> list[str]:
     return list(seen)
 
 
+def _children(g: Formula) -> tuple[Formula, ...]:
+    if isinstance(g, (And, Or)):
+        return g.children
+    if isinstance(g, Not):
+        return (g.child,)
+    if isinstance(g, Iff):
+        return (g.left, g.right)
+    if isinstance(g, (Var, Const)):
+        return ()
+    raise TypeError(f"not a formula: {g!r}")
+
+
+def _fold(f: Formula, combine, done: dict[int, object] | None = None):
+    """Bottom-up value of ``f`` on an explicit stack: ``combine(g, values of
+    g's children)`` once per subformula object, memoized by ``id`` in
+    ``done``, so shared sub-objects are visited once. Internal nodes are
+    combined in post-order, left to right, which fixes the order of any side
+    effects (Tseitin gates); leaves, which have none, as soon as their parent
+    is reached. A caller that passes ``done`` keeps its objects alive."""
+    if done is None:
+        done = {}
+    stack = [(f, None)]  # (g, None) expands g; (g, its children) combines it
+    while stack:
+        g, kids = stack.pop()
+        if kids is not None:
+            done[id(g)] = combine(g, [done[id(c)] for c in kids])
+            continue
+        if id(g) in done:
+            continue
+        kids = _children(g)
+        stack.append((g, kids))
+        for c in reversed(kids):
+            key = id(c)
+            if key in done:
+                continue
+            if isinstance(c, (Var, Const)):
+                done[key] = combine(c, ())
+            else:
+                stack.append((c, None))
+    return done[id(f)]
+
+
 # ---------------------------------------------------------------------------
 # Parsing and printing
 
@@ -138,120 +180,90 @@ class ParseError(ToolkitError):
         self.col = col
 
 
-_TOKEN_RE = re.compile(r"<=>|[()&|!]|[A-Za-z_][A-Za-z0-9_]*")
+# Blanks, a comment, a newline, or a token (group 1).
+_TOKEN_RE = re.compile(r"[ \t\r]+|#[^\n]*|\n|(<=>|[()&|!]|[A-Za-z_][A-Za-z0-9_]*)")
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
+    line, line_start, i = 1, 0, 0
+    while i < len(text):
         m = _TOKEN_RE.match(text, i)
         if not m:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        tokens.append((m.group(), line, col))
-        col += m.end() - i
+            raise ParseError(f"unexpected character {text[i]!r}", line, i - line_start + 1)
+        if m.group(1):
+            tokens.append((m.group(1), line, i - line_start + 1))
+        elif m.group() == "\n":
+            line, line_start = line + 1, i + 1
         i = m.end()
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, int, int]]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def next(self) -> tuple[str, int, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str) -> ParseError:
-        if self.pos < len(self.tokens):
-            _, line, col = self.tokens[self.pos]
-        elif self.tokens:
-            _, line, col = self.tokens[-1]
-        else:
-            line, col = 1, 1
-        return ParseError(message, line, col)
-
-    def formula(self) -> Formula:
-        f = self.disjunction()
-        while self.peek() == "<=>":
-            self.next()
-            f = Iff(f, self.disjunction())
-        return f
-
-    def disjunction(self) -> Formula:
-        parts = [self.conjunction()]
-        while self.peek() == "|":
-            self.next()
-            parts.append(self.conjunction())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def conjunction(self) -> Formula:
-        parts = [self.unary()]
-        while self.peek() == "&":
-            self.next()
-            parts.append(self.unary())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-    def unary(self) -> Formula:
-        if self.peek() == "!":
-            self.next()
-            return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("unexpected end of input")
-        if tok == "(":
-            self.next()
-            f = self.formula()
-            if self.peek() != ")":
-                raise self.error("expected ')'")
-            self.next()
-            return f
-        if tok == "true":
-            self.next()
-            return TRUE
-        if tok == "false":
-            self.next()
-            return FALSE
-        if _NAME_RE.match(tok):
-            self.next()
-            return Var(tok)
-        raise self.error(f"unexpected token {tok!r}")
-
-
 def parse_formula(text: str) -> Formula:
-    """Parse a formula from text. Raises ParseError with line/column info."""
+    """Parse a formula from text. Raises ParseError with line/column info.
+
+    One precedence-climbing loop: ``ands`` and ``ors`` hold the operands of
+    the open ``&`` and ``|`` chains, ``iff`` the left side of an open
+    ``<=>`` and ``nots`` the count of pending ``!``. Each ``(`` saves these
+    on ``outer`` and its ``)`` restores them.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input", 1, 1)
-    parser = _Parser(tokens)
-    f = parser.formula()
-    if parser.peek() is not None:
-        raise parser.error(f"trailing input {parser.peek()!r}")
-    return f
+    # End of input, reported at the last token.
+    tokens.append((None, *tokens[-1][1:]))
+    outer: list[tuple] = []
+    iff, ors, ands, nots = None, [], [], 0
+    pos = 0
+    while True:
+        # An operand is due: "!" and "(" prefixes, then an atom.
+        tok = tokens[pos][0]
+        if tok == "!":
+            nots += 1
+            pos += 1
+            continue
+        if tok == "(":
+            outer.append((iff, ors, ands, nots))
+            iff, ors, ands, nots = None, [], [], 0
+            pos += 1
+            continue
+        if tok is None:
+            raise ParseError("unexpected end of input", *tokens[pos][1:])
+        if tok in ("true", "false"):
+            f = TRUE if tok == "true" else FALSE
+        elif _NAME_RE.match(tok):
+            f = Var(tok)
+        else:
+            raise ParseError(f"unexpected token {tok!r}", *tokens[pos][1:])
+        pos += 1
+        # An operand is complete: close the chains the next token ends.
+        while True:
+            for _ in range(nots):
+                f = Not(f)
+            nots = 0
+            ands.append(f)
+            tok = tokens[pos][0]
+            if tok == "&":
+                break
+            ors.append(conj(ands))
+            ands = []
+            if tok == "|":
+                break
+            g = disj(ors)
+            ors = []
+            iff = g if iff is None else Iff(iff, g)
+            if tok == "<=>":
+                break
+            f = iff
+            if not outer:
+                if tok is not None:
+                    raise ParseError(f"trailing input {tok!r}", *tokens[pos][1:])
+                return f
+            if tok != ")":
+                raise ParseError("expected ')'", *tokens[pos][1:])
+            pos += 1
+            iff, ors, ands, nots = outer.pop()
+        pos += 1
 
 
 # Precedence levels used by the printer; a child is parenthesized when its
@@ -261,26 +273,27 @@ _LEVEL_IFF, _LEVEL_OR, _LEVEL_AND, _LEVEL_NOT, _LEVEL_ATOM = 0, 1, 2, 3, 4
 
 def format_formula(f: Formula) -> str:
     """Render ``f`` so that parse_formula(format_formula(f)) == f."""
-    return _fmt(f, _LEVEL_IFF)
+    return _fold(f, _format_node)[0]
 
 
-def _fmt(f: Formula, min_level: int) -> str:
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Const):
-        return "true" if f.value else "false"
-    if isinstance(f, Not):
-        text, level = "!" + _fmt(f.child, _LEVEL_NOT), _LEVEL_NOT
-    elif isinstance(f, And):
-        text, level = " & ".join(_fmt(c, _LEVEL_NOT) for c in f.children), _LEVEL_AND
-    elif isinstance(f, Or):
-        text, level = " | ".join(_fmt(c, _LEVEL_AND) for c in f.children), _LEVEL_OR
-    elif isinstance(f, Iff):
-        text = _fmt(f.left, _LEVEL_IFF) + " <=> " + _fmt(f.right, _LEVEL_OR)
-        level = _LEVEL_IFF
-    else:
-        raise TypeError(f"not a formula: {f!r}")
+def _wrap(kid: tuple[str, int], min_level: int) -> str:
+    text, level = kid
     return "(" + text + ")" if level < min_level else text
+
+
+def _format_node(g: Formula, kids: list[tuple[str, int]]) -> tuple[str, int]:
+    """Text of ``g`` and its precedence level, from its children's."""
+    if isinstance(g, Var):
+        return g.name, _LEVEL_ATOM
+    if isinstance(g, Const):
+        return ("true" if g.value else "false"), _LEVEL_ATOM
+    if isinstance(g, Not):
+        return "!" + _wrap(kids[0], _LEVEL_NOT), _LEVEL_NOT
+    if isinstance(g, And):
+        return " & ".join(_wrap(k, _LEVEL_NOT) for k in kids), _LEVEL_AND
+    if isinstance(g, Or):
+        return " | ".join(_wrap(k, _LEVEL_AND) for k in kids), _LEVEL_OR
+    return _wrap(kids[0], _LEVEL_IFF) + " <=> " + _wrap(kids[1], _LEVEL_OR), _LEVEL_IFF
 
 
 # ---------------------------------------------------------------------------
@@ -290,65 +303,59 @@ def _fmt(f: Formula, min_level: int) -> str:
 def nnf_rewrite(f: Formula) -> Formula:
     """Equivalent formula with negation pushed to variables and Iff expanded
     as (l & r) | (!l & !r)."""
-    return _nnf(f, positive=True)
+    return _fold(f, _nnf_pair)[0]
 
 
-def _nnf(f: Formula, positive: bool) -> Formula:
-    if isinstance(f, Var):
-        return f if positive else Not(f)
-    if isinstance(f, Const):
-        return Const(f.value == positive)
-    if isinstance(f, Not):
-        return _nnf(f.child, not positive)
-    if isinstance(f, And):
-        parts = tuple(_nnf(c, positive) for c in f.children)
-        return And(parts) if positive else Or(parts)
-    if isinstance(f, Or):
-        parts = tuple(_nnf(c, positive) for c in f.children)
-        return Or(parts) if positive else And(parts)
-    if isinstance(f, Iff):
-        both = And((_nnf(f.left, True), _nnf(f.right, True)))
-        neither = And((_nnf(f.left, False), _nnf(f.right, False)))
-        expanded = Or((both, neither))
-        return expanded if positive else _nnf(expanded, False)
-    raise TypeError(f"not a formula: {f!r}")
+def _nnf_pair(g: Formula, kids: list[tuple[Formula, Formula]]) -> tuple[Formula, Formula]:
+    """NNF of ``g`` and of ``!g``, from its children's pairs. The NNF of a
+    negated Iff is the negation of its expansion, (!l | !r) & (l | r), so
+    each side of an Iff is built once and shared by both results."""
+    if isinstance(g, Var):
+        return g, Not(g)
+    if isinstance(g, Const):
+        return Const(bool(g.value)), Const(not g.value)
+    if isinstance(g, Not):
+        return kids[0][1], kids[0][0]
+    pos = tuple(p for p, _ in kids)
+    neg = tuple(n for _, n in kids)
+    if isinstance(g, And):
+        return And(pos), Or(neg)
+    if isinstance(g, Or):
+        return Or(pos), And(neg)
+    (lp, ln), (rp, rn) = kids
+    return Or((And((lp, rp)), And((ln, rn)))), And((Or((ln, rn)), Or((lp, rp))))
 
 
 def const_fold(f: Formula) -> Formula:
     """Absorb ``true``/``false`` so no constant remains below the root."""
-    if isinstance(f, (Var, Const)):
-        return f
-    if isinstance(f, Not):
-        child = const_fold(f.child)
-        if isinstance(child, Const):
-            return Const(not child.value)
-        return Not(child)
-    if isinstance(f, And):
+    return _fold(f, _const_node)
+
+
+def _negate(g: Formula) -> Formula:
+    return Const(not g.value) if isinstance(g, Const) else Not(g)
+
+
+def _const_node(g: Formula, kids: list[Formula]) -> Formula:
+    """``g`` with constants absorbed, from its children already folded."""
+    if isinstance(g, (Var, Const)):
+        return g
+    if isinstance(g, Not):
+        return _negate(kids[0])
+    if isinstance(g, (And, Or)):
+        absorbing = isinstance(g, Or)
         kept = []
-        for c in map(const_fold, f.children):
-            if isinstance(c, Const):
-                if not c.value:
-                    return FALSE
-            else:
+        for c in kids:
+            if not isinstance(c, Const):
                 kept.append(c)
-        return conj(kept)
-    if isinstance(f, Or):
-        kept = []
-        for c in map(const_fold, f.children):
-            if isinstance(c, Const):
-                if c.value:
-                    return TRUE
-            else:
-                kept.append(c)
-        return disj(kept)
-    if isinstance(f, Iff):
-        left, right = const_fold(f.left), const_fold(f.right)
-        if isinstance(left, Const):
-            return right if left.value else const_fold(Not(right))
-        if isinstance(right, Const):
-            return left if right.value else const_fold(Not(left))
-        return Iff(left, right)
-    raise TypeError(f"not a formula: {f!r}")
+            elif bool(c.value) == absorbing:
+                return TRUE if absorbing else FALSE
+        return disj(kept) if absorbing else conj(kept)
+    left, right = kids
+    if isinstance(left, Const):
+        return right if left.value else _negate(right)
+    if isinstance(right, Const):
+        return left if right.value else _negate(left)
+    return Iff(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -387,116 +394,113 @@ def tseitin_transform(f: Formula) -> TseitinOutput:
 
     clauses: list[tuple[int, ...]] = []
     tseitin: list[int] = []
-    gate_of: dict[Formula, int | Const] = {}
-    counter = [len(names)]
+    # The gate cache: NNF nodes are interned by structure into ids, from the
+    # literal code of a literal, the name of a constant and (is_and, child
+    # ids) of a gate, and ``value[id]`` is the literal or constant the node
+    # encodes to. Equal subformulas therefore share a gate.
+    ids: dict[object, int] = {}
+    value: list[int | Const] = []
 
-    def lit_code(g: Formula) -> int:
+    def lit_code(g: Formula) -> int | None:
         if isinstance(g, Var):
             return index[g.name]
         if isinstance(g, Not) and isinstance(g.child, Var):
             return -index[g.child.name]
-        raise TypeError(f"not a literal: {g!r}")
-
-    def is_literal(g: Formula) -> bool:
-        return isinstance(g, Var) or (isinstance(g, Not) and isinstance(g.child, Var))
+        return None
 
     def simplify(lits: list[int | Const], is_and: bool) -> list[int] | Const:
         # Resolve constants and complementary literals inside one gate body,
         # so every emitted gate is a clean equivalence over distinct literals.
-        absorbing, neutral = (FALSE, TRUE) if is_and else (TRUE, FALSE)
-        kept: list[int] = []
-        seen: set[int] = set()
+        absorbing = FALSE if is_and else TRUE
+        kept: dict[int, None] = {}
         for l in lits:
             if isinstance(l, Const):
-                if l == absorbing:
+                if l.value == absorbing.value:
                     return absorbing
-                continue
-            if -l in seen:
+            elif -l in kept:
                 return absorbing
-            if l not in seen:
-                seen.add(l)
-                kept.append(l)
-        if not kept:
-            return neutral
-        return kept
+            else:
+                kept[l] = None
+        return list(kept) or (TRUE if is_and else FALSE)
 
     def emit_gate(head: int, body: list[int], is_and: bool) -> None:
-        if is_and:
-            for b in body:
-                clauses.append((-head, b))
-            clauses.append((head, *[-b for b in body]))
-        else:
-            for b in body:
-                clauses.append((head, -b))
-            clauses.append((-head, *body))
+        # An Or gate is the And gate of the negated head over negated literals.
+        sign = 1 if is_and else -1
+        clauses.extend((-sign * head, sign * b) for b in body)
+        clauses.append((sign * head, *[-sign * b for b in body]))
 
-    def encode(g: Formula) -> int | Const:
-        """Return a literal equivalent to NNF node ``g``, creating gates."""
-        if is_literal(g):
-            return lit_code(g)
-        if isinstance(g, Const):
-            return g
-        cached = gate_of.get(g)
-        if cached is not None:
-            return cached
-        assert isinstance(g, (And, Or))
-        is_and = isinstance(g, And)
-        body = simplify([encode(c) for c in g.children], is_and)
-        if isinstance(body, Const):
-            result: int | Const = body
-        elif len(body) == 1:
-            result = body[0]
+    def intern(g: Formula, kids: list[int]) -> int:
+        """Interned id of NNF node ``g``, creating its gate on first sight."""
+        if isinstance(g, Var):
+            key: object = index[g.name]
+        elif isinstance(g, Not):
+            key = -value[kids[0]]
+        elif isinstance(g, Const):
+            key = "true" if g.value else "false"
         else:
-            counter[0] += 1
-            aux = counter[0]
-            tseitin.append(aux)
-            emit_gate(aux, body, is_and)
-            result = aux
-        gate_of[g] = result
-        return result
-
-    def assert_head_equiv(head: int, body: Formula) -> None:
-        body_nnf = nnf_rewrite(body)
-        if is_literal(body_nnf):
-            b = lit_code(body_nnf)
-            clauses.append(tuple(sorted({-head, b})))
-            clauses.append(tuple(sorted({head, -b})))
-            return
-        assert isinstance(body_nnf, (And, Or))
-        is_and = isinstance(body_nnf, And)
-        lits = simplify([encode(c) for c in body_nnf.children], is_and)
-        if isinstance(lits, Const):
-            clauses.append((head,) if lits.value else (-head,))
-        elif len(lits) == 1:
-            clauses.append((-head, lits[0]))
-            clauses.append((head, -lits[0]))
+            key = (isinstance(g, And), *kids)
+        i = ids.get(key)
+        if i is not None:
+            return i
+        if isinstance(g, (And, Or)):
+            is_and = isinstance(g, And)
+            body = simplify([value[k] for k in kids], is_and)
+            if isinstance(body, Const):
+                v: int | Const = body
+            elif len(body) == 1:
+                v = body[0]
+            else:
+                v = len(names) + len(tseitin) + 1
+                tseitin.append(v)
+                emit_gate(v, body, is_and)
         else:
-            emit_gate(head, lits, is_and)
+            v = g if isinstance(g, Const) else key
+        ids[key] = len(value)
+        value.append(v)
+        return ids[key]
 
-    def assert_spine(g: Formula) -> None:
-        """Assert ``g`` as a top-level conjunct."""
+    def gate_body(g: Formula) -> list[int] | Const:
+        """The simplified literals of And/Or node ``g``'s children."""
+        done: dict[int, object] = {}
+        return simplify([value[_fold(c, intern, done)] for c in g.children],
+                        isinstance(g, And))
+
+    # Assert the top-level conjuncts, leftmost first.
+    stack = [folded]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Const):  # only the root can be one after folding
+            if not g.value:
+                clauses.append(())
+            continue
         if isinstance(g, And):
-            for c in g.children:
-                assert_spine(c)
-            return
+            stack.extend(reversed(g.children))
+            continue
         if isinstance(g, Iff):
-            if is_literal(g.left):
-                assert_head_equiv(lit_code(g.left), g.right)
-                return
-            if is_literal(g.right):
-                assert_head_equiv(lit_code(g.right), g.left)
-                return
-            g = nnf_rewrite(g)
-            assert_spine(g)
-            return
+            # `literal <=> body`: the literal is the gate head.
+            h, body = lit_code(g.left), g.right
+            if h is None:
+                h, body = lit_code(g.right), g.left
+            if h is not None:
+                body = nnf_rewrite(body)
+                b = lit_code(body)
+                lits = [b] if b is not None else gate_body(body)
+                if isinstance(lits, Const):
+                    clauses.append((h,) if lits.value else (-h,))
+                elif len(lits) == 1:
+                    clauses.append((-h, lits[0]))
+                    clauses.append((h, -lits[0]))
+                else:
+                    emit_gate(h, lits, isinstance(body, And))
+                continue
         g = nnf_rewrite(g)
-        if is_literal(g):
-            clauses.append((lit_code(g),))
+        lit = lit_code(g)
+        if lit is not None:
+            clauses.append((lit,))
         elif isinstance(g, And):
-            for c in g.children:
-                assert_spine(c)
+            stack.extend(reversed(g.children))
         elif isinstance(g, Or):
-            lits = simplify([encode(c) for c in g.children], is_and=False)
+            lits = gate_body(g)
             if isinstance(lits, Const):
                 if not lits.value:
                     clauses.append(())
@@ -505,20 +509,8 @@ def tseitin_transform(f: Formula) -> TseitinOutput:
         else:
             raise TypeError(f"unexpected node after NNF: {g!r}")
 
-    if isinstance(folded, Const):
-        if not folded.value:
-            clauses.append(())
-    else:
-        assert_spine(folded)
-
-    num_vars = len(names) + len(tseitin)
-    cnf = CnfInstance.from_raw(num_vars, clauses, tseitin_vars=tseitin)
-    return TseitinOutput(
-        cnf=cnf,
-        var_map=index,
-        tseitin_vars=frozenset(tseitin),
-        original_vars=frozenset(index.values()),
-    )
+    cnf = CnfInstance.from_raw(len(names) + len(tseitin), clauses, tseitin_vars=tseitin)
+    return TseitinOutput(cnf, index, frozenset(tseitin), frozenset(index.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -329,14 +329,20 @@ class TestBench:
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text,cnf_head,gates",
     [
-        "(" * 1500 + "a" + ")" * 1500 + "\n",
-        "".join(f"x{i} & (" for i in range(1200)) + "y" + ")" * 1200 + "\n",
+        ("(" * 1500 + "a" + ")" * 1500 + "\n", ["p cnf 1 1", "1 0"], 0),
+        # Every conjunct is asserted as a unit clause, leftmost first.
+        ("".join(f"x{i} & (" for i in range(1200)) + "y" + ")" * 1200 + "\n",
+         ["p cnf 1201 1201"] + [f"{i} 0" for i in range(1, 1202)], 0),
+        # z | (((x0 <=> x1) <=> x2) ... <=> x40): 18d - 8 clauses and 6d - 3
+        # gates at depth d, shared between the two polarities of each <=>.
+        ("z | (" + "(" * 39 + "x0" + "".join(f" <=> x{i})" for i in range(1, 41)) + "\n",
+         ["p cnf 279 712"], 237),
     ],
-    ids=["parentheses_1500", "conjunction_1200"],
+    ids=["parentheses_1500", "conjunction_1200", "iff_chain_40"],
 )
-def test_deeply_nested_formula_exits_without_traceback(tmp_path, text):
+def test_deeply_nested_formula_encodes(tmp_path, text, cnf_head, gates):
     path = tmp_path / "deep.bool"
     path.write_text(text)
     env = dict(os.environ, PYTHONPATH=str(Path(ddnnf.__file__).parents[1]))
@@ -344,9 +350,12 @@ def test_deeply_nested_formula_exits_without_traceback(tmp_path, text):
         [sys.executable, "-m", "ddnnf", "tseitin", str(path)],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.strip() == "error: input nested too deeply"
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    cnf = (tmp_path / "deep.cnf").read_text().splitlines()
+    assert cnf[: len(cnf_head)] == cnf_head
+    assert len(cnf) == 1 + int(cnf[0].split()[3])
+    assert (tmp_path / "deep.tvars").read_text().splitlines()[0] == f"t {gates}"
 
 
 @pytest.mark.parametrize("tvars", ["t\n5\n", "t five\n5\n", "t 1\nx5\n"],

@@ -214,3 +214,11 @@ def test_tvars_sidecar_roundtrip():
     assert parse_tvars("t 0\n\n") == frozenset()
     with pytest.raises(DimacsError):
         parse_tvars("5 6\n")
+
+
+def test_tvars_sidecar_indented_comment():
+    assert parse_tvars("# gates\nt 2\n  # note\n5 6\n") == {5, 6}
+
+
+def test_tvars_sidecar_trailing_comment():
+    assert parse_tvars("t 2 # header\n5 6 # gates\n") == {5, 6}

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -72,6 +75,53 @@ class TestParse:
     def test_bad_character(self):
         with pytest.raises(ParseError):
             parse_formula("a + b")
+
+    @pytest.mark.parametrize(
+        "text,message,line,col",
+        [
+            ("  # only a comment\n", "empty input", 1, 1),
+            ("a &", "unexpected end of input", 1, 3),
+            ("!(a <=> ", "unexpected end of input", 1, 5),
+            ("(a | b", "expected ')'", 1, 6),
+            ("(a | b c)", "expected ')'", 1, 8),
+            ("a & )", "unexpected token ')'", 1, 5),
+            ("a b", "trailing input 'b'", 1, 3),
+            ("a <=> b)", "trailing input ')'", 1, 8),
+            ("a + b", "unexpected character '+'", 1, 3),
+            ("a &\n& b", "unexpected token '&'", 2, 1),
+            ("a &\n  (b | c\n", "expected ')'", 2, 8),
+            ("a\n\n   $", "unexpected character '$'", 3, 4),
+        ],
+    )
+    def test_error_message_pinned(self, text, message, line, col):
+        with pytest.raises(ParseError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == f"{message} (line {line}, column {col})"
+        assert (exc.value.line, exc.value.col) == (line, col)
+
+    def test_fuzz_parses_or_raises_parse_error(self):
+        # Random token strings, half of them printed formulas with a word or
+        # two dropped, inserted or replaced, so both outcomes are common.
+        pieces = ["a", "b", "true", "false", "(", ")", "&", "|", "!", "<=>",
+                  " ", "\n", "# c\n", "\t", "+", "<", "x_1", "(("]
+        rng = random.Random(2024)
+        parsed = 0
+        for i in range(2400):
+            if i % 2:
+                tokens = [rng.choice(pieces) for _ in range(rng.randint(0, 14))]
+            else:
+                tokens = format_formula(_pin_draw(rng, 3, [])).split(" ")
+                for _ in range(rng.randint(0, 2)):
+                    j = rng.randrange(len(tokens) + 1)
+                    tokens[j:j + rng.randint(0, 1)] = rng.choice(([], [rng.choice(pieces)]))
+            text = " ".join(tokens)
+            try:
+                f = parse_formula(text)
+            except ParseError:
+                continue
+            parsed += 1
+            assert parse_formula(format_formula(f)) == f
+        assert parsed > 300
 
 
 # Twenty fixed strings checked against an independent truth-table reference:
@@ -261,6 +311,81 @@ class TestTseitin:
         # Every gate of fan-in k yields k+1 clauses and gates are a subset of
         # the internal nodes, so 3x the tree size bounds the clause count.
         assert len(out.cnf.clauses) <= 3 * tree_nodes
+
+
+def _pin_draw(rng, depth, shared):
+    """Seeded random formula with constants. Each internal node joins
+    ``shared`` with probability 0.3 and later leaves may reuse it, so some
+    sub-objects have two parents."""
+    if depth == 0 or rng.random() < 0.25:
+        r = rng.random()
+        if r < 0.1:
+            return rng.choice((TRUE, FALSE))
+        if r < 0.25 and shared:
+            return rng.choice(shared)
+        return Var(rng.choice("abcdef"))
+    kind = rng.randrange(4)
+    if kind == 0:
+        g = Not(_pin_draw(rng, depth - 1, shared))
+    elif kind == 1:
+        g = Iff(_pin_draw(rng, depth - 1, shared), _pin_draw(rng, depth - 1, shared))
+    else:
+        cs = tuple(_pin_draw(rng, depth - 1, shared) for _ in range(rng.randint(2, 3)))
+        g = And(cs) if kind == 2 else Or(cs)
+    if rng.random() < 0.3:
+        shared.append(g)
+    return g
+
+
+def _pin_formula(rng, i):
+    """The ``i``-th pinned formula: a plain draw, top-level ``literal <=>
+    body`` conjuncts, a nested ``<=>`` chain under a disjunction, or one
+    sub-object under two parents."""
+    shared = []
+    shape = i % 4
+    if shape == 0:
+        return _pin_draw(rng, 5, shared)
+    if shape == 1:
+        parts = []
+        for _ in range(rng.randint(2, 4)):
+            head = Var(rng.choice("abcdef"))
+            head = Not(head) if rng.random() < 0.5 else head
+            body = _pin_draw(rng, 3, shared)
+            parts.append(Iff(head, body) if rng.random() < 0.5 else Iff(body, head))
+        return And(tuple(parts))
+    if shape == 2:
+        f = _pin_draw(rng, 1, shared)
+        for _ in range(rng.randint(2, 5)):
+            f = Iff(f, _pin_draw(rng, 2, shared))
+        return Or((Var("z"), f))
+    s = _pin_draw(rng, 3, shared)
+    return And((Or((s, _pin_draw(rng, 2, shared))), Iff(_pin_draw(rng, 2, shared), s)))
+
+
+# sha256 over 600 _pin_formula records, recorded from the recursive walks
+# that the one fold replaced.
+PINNED_SHA256 = {
+    "tseitin": "fcc2e8d2d6ba5a17e27b01dc1663a4ec1fbd5c9ad7a56e6605704774d73d105d",
+    "format": "2750362289ba8b9c97f47be2759189a51d804f28493742d0afc7fec9e656197c",
+    "rewrite": "6b0c54f6737d04edee645add39f21eda39b2a58df1b589673556a555bcc1097e",
+}
+
+
+def test_formula_passes_pinned():
+    rng = random.Random(31)
+    digests = {k: hashlib.sha256() for k in PINNED_SHA256}
+    for i in range(600):
+        f = _pin_formula(rng, i)
+        out = tseitin_transform(f)
+        records = {
+            "tseitin": [out.cnf.num_vars, out.cnf.clauses, sorted(out.tseitin_vars),
+                        list(out.var_map.items())],
+            "format": format_formula(f),
+            "rewrite": [repr(const_fold(f)), repr(nnf_rewrite(f))],
+        }
+        for k, rec in records.items():
+            digests[k].update((json.dumps(rec) + "\n").encode())
+    assert {k: d.hexdigest() for k, d in digests.items()} == PINNED_SHA256
 
 
 def _encode_within_oracle_bound(f):
