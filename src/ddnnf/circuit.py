@@ -33,11 +33,17 @@ def reached_from(root: int, children, stop=frozenset()) -> set[int]:
 
 
 def mask_of(variables) -> int:
-    """The bitmask with bit v set for each variable v."""
-    mask = 0
+    """The bitmask with bit v set for each variable v. It is read from one
+    string of binary digits: ``mask |= 1 << v`` would copy the whole mask
+    per variable, which is quadratic in the highest variable."""
+    variables = tuple(variables)
+    if min(variables, default=0) < 0:
+        raise ValueError("negative variable")
+    digits = bytearray(b"0") * (max(variables, default=0) + 1)
     for v in variables:
-        mask |= 1 << v
-    return mask
+        digits[v] = 49  # b"1"
+    digits.reverse()
+    return int(digits, 2)
 
 
 class Node(NamedTuple):

@@ -47,7 +47,7 @@ class CnfInstance:
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise ValueError(f"literal {lit} out of range 1..{self.num_vars}")
-        if not self.tseitin_vars <= set(range(1, self.num_vars + 1)):
+        if any(not 1 <= v <= self.num_vars for v in self.tseitin_vars):
             raise ValueError("tseitin_vars outside variable universe")
 
     @staticmethod
@@ -63,9 +63,6 @@ class CnfInstance:
     def variables(self) -> set[int]:
         """Variables that actually occur in some clause."""
         return {abs(l) for clause in self.clauses for l in clause}
-
-    def has_empty_clause(self) -> bool:
-        return any(not clause for clause in self.clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +89,8 @@ def parse_dimacs(text: str) -> CnfInstance:
                 num_vars, declared_clauses = int(fields[2]), int(fields[3])
             except ValueError:
                 raise DimacsError(f"line {lineno}: malformed header {line!r}") from None
+            if num_vars < 0:
+                raise DimacsError(f"line {lineno}: negative variable count {num_vars}")
             continue
         if num_vars is None:
             raise DimacsError(f"line {lineno}: clause before 'p cnf' header")

@@ -439,6 +439,8 @@ def _parse_d4(text: str) -> Circuit:
             src, dst, lits = ints[0], ints[1], tuple(ints[2:])
             if src not in kinds or dst not in kinds:
                 raise NnfFormatError(f"line {lineno}: edge references undeclared node")
+            if 0 in lits:
+                raise NnfFormatError(f"line {lineno}: literal 0 in edge guard")
             edges[src].append((dst, lits))
     if first_node is None:
         raise NnfFormatError("no nodes")

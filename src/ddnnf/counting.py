@@ -1,10 +1,8 @@
 """Exact model counting and weighted model counting over d-DNNF circuits.
 
 Every count is one bottom-up weighted fold; a model count is the fold with
-every literal weighing 1. The fold materializes no smoothing transformation:
-the variables an OR child fails to mention ("free" at that gap) are corrected
-by a factor ``w(v) + w(!v)`` per variable (2 for a model count), and likewise
-for universe variables the root never mentions.
+every literal weighing 1. There is no smoothing: the variables an OR child,
+or the root, fails to mention (its "gap") contribute ``w(v) + w(-v)`` each.
 """
 
 from __future__ import annotations
@@ -12,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from itertools import compress
-from operator import or_
+from itertools import compress, count
 
 from .circuit import AND, LIT, OR, TRUE, Circuit, check_decomposable, mask_bits, mask_of
 from .errors import ToolkitError
@@ -58,10 +54,14 @@ class WeightMap:
             fields = line.split()
             if len(fields) != 3 or fields[0] != "w":
                 raise ValueError(f"line {lineno}: expected 'w <lit> <weight>'")
-            lit = int(fields[1])
+            try:
+                lit = int(fields[1])
+                w = Fraction(fields[2]) if exact else float(fields[2])
+            except (ValueError, ZeroDivisionError):  # Fraction("1/0") divides
+                raise ValueError(f"line {lineno}: non-numeric literal or weight") from None
             if lit == 0:
                 raise ValueError(f"line {lineno}: literal 0")
-            weights[lit] = Fraction(fields[2]) if exact else float(fields[2])
+            weights[lit] = w
         return WeightMap(weights, default=Fraction(1) if exact else 1.0)
 
 
@@ -86,23 +86,22 @@ def weighted_model_count(circuit: Circuit, weights: WeightMap):
     """Sum over models of the product of literal weights (over the declared
     universe). With all weights 1 this equals model_count exactly.
 
-    When every weight is an int or a Fraction and at least one is a
-    Fraction, the sum is taken over the integers ``w * D``, D being the
-    weights' common denominator, and divided once by ``D ** len(universe)``
-    at the end: every model assigns every universe variable, so each term is
-    a product of exactly that many weights. The result is then a Fraction,
-    also when D is 1; a map of ints alone gives an int.
+    When every weight is an int or a Fraction and at least one is a Fraction,
+    the sum is taken over the integers ``w * D``, D being the weights' common
+    denominator, and divided once by ``D ** len(universe)``: each term is a
+    product of exactly that many weights. The result is then a Fraction, also
+    when D is 1; a map of ints alone gives an int.
     """
     _require_decomposable(circuit)
     if circuit.root is None:
         raise ValueError("circuit has no root")
     denominator = _common_denominator(weights)
     if denominator is not None:
-        weights = WeightMap(
-            {lit: _scale(w, denominator) for lit, w in weights.literal_weights.items()
-             if w is not None},
-            default=None if weights.default is None else _scale(weights.default, denominator),
-        )
+        def scale(w):
+            return None if w is None else w.numerator * (denominator // w.denominator)
+
+        listed = {lit: scale(w) for lit, w in weights.literal_weights.items() if w is not None}
+        weights = WeightMap(listed, default=scale(weights.default))
     gap_factor = _gap_factors(circuit.universe, weights)
     values = _weighted_fold(circuit, weights, gap_factor)
     root_gap = mask_of(circuit.universe) ^ circuit.node(circuit.root).mask
@@ -119,15 +118,11 @@ def _common_denominator(weights: WeightMap) -> int | None:
     exact = [w for w in weights.literal_weights.values() if w is not None]
     if weights.default is not None:
         exact.append(weights.default)
-    if not all(isinstance(w, (int, Fraction)) for w in exact):
-        return None
-    if not any(isinstance(w, Fraction) for w in exact):
+    if not all(isinstance(w, (int, Fraction)) for w in exact) or not any(
+        isinstance(w, Fraction) for w in exact
+    ):
         return None
     return math.lcm(*(w.denominator for w in exact))
-
-
-def _scale(w, denominator: int) -> int:
-    return w.numerator * (denominator // w.denominator)
 
 
 def _weighted_fold(circuit: Circuit, weights: WeightMap, gap_factor) -> dict[int, object]:
@@ -152,54 +147,38 @@ def _weighted_fold(circuit: Circuit, weights: WeightMap, gap_factor) -> dict[int
 
 def _gap_factors(universe, weights: WeightMap):
     """The function from a gap (the mask of the variables an OR child, or the
-    root, leaves out) to the product of their pair sums ``w(v) + w(-v)``.
-
-    Pair sums that cannot change a product are taken out of the one-by-one
-    multiplication, the "neutral sum" case of algebraic model counting
-    (Kimmig, Van den Broeck & De Raedt, JAL 2017). When every pair sum is an
-    int, the most common one, p, becomes one power ``p ** k``. When every
-    pair sum is a float, those equal to 1.0 are dropped: multiplying a float
-    by 1.0 leaves it unchanged, and a gap of 1.0s alone gives 1.0. The rest
-    are multiplied in ascending variable order, which fixes float rounding;
-    an empty gap gives 1.
+    root, leaves out) to the product of their pair sums ``w(v) + w(-v)`` in
+    ascending variable order, which fixes float rounding; an empty gap gives
+    1. Each pair sum is read once. When every universe variable has the same
+    pair sum p, an int or the float 1.0, a gap of k variables gives ``p ** k``:
+    the "neutral sum" case of algebraic model counting (Kimmig, Van den Broeck
+    & De Raedt, JAL 2017), which unit, scaled exact and normalized weights take.
     """
-    sums: dict[int, object] = {}
-    # A variable whose pair sum cannot be formed has its bit in ``unpaired``;
-    # a gap reaching one forms it again, for the lowest such variable, which
-    # raises for the same literal as walking the gap in ascending order would.
-    unpaired = 0
-    masks: dict[object, int] = {}  # pair sum -> the variables that have it
-    for v in universe:
-        try:
-            sums[v] = s = weights.pair_sum(v)
-        except MissingWeightError:
-            unpaired |= 1 << v
-        else:
-            masks[s] = masks.get(s, 0) | 1 << v
-    kinds = set(map(type, masks))
-    neutral, take_out = 0, None
-    if kinds == {int}:
-        common = max(masks, key=lambda s: masks[s].bit_count())
-        neutral, take_out = masks[common], common.__pow__
-    elif kinds == {float}:
-        neutral, take_out = masks.get(1.0, 0), lambda k: 1.0
-    rest = ~neutral
-    # The pair sums left in the products, by variable. The list ends at the
-    # highest such variable, so neutral ones cost nothing on a sparse universe.
-    top = (reduce(or_, masks.values(), 0) & rest).bit_length()
-    pair_sums = list(map(sums.get, range(top)))
-    if not top and not unpaired:
-        # Every pair sum is neutral (unit and normalized maps).
-        return lambda gap: take_out(gap.bit_count()) if gap else 1
+    default, sums, missing = weights.default, {}, []
+    if default is not None and universe.isdisjoint(map(abs, weights.literal_weights)):
+        # No universe variable is listed: every pair sum is the default's.
+        p = default + default
+        distinct, pair_sum = {(type(p), p)}, lambda v: p
+    else:
+        for v in universe:
+            try:
+                sums[v] = weights.pair_sum(v)
+            except MissingWeightError:
+                missing.append(v)
+        distinct, pair_sum = {(type(s), s) for s in sums.values()}, sums.__getitem__
+    if len(distinct) == 1 and not missing:
+        ((kind, p),) = distinct
+        if kind is int or kind is float and p == 1.0:
+            return lambda gap: p ** gap.bit_count() if gap else 1
+    # A gap reaching variables without a pair sum forms the lowest one's
+    # again: it raises for the literal an ascending walk would reach first.
+    unpaired = mask_of(missing)
 
     def gap_factor(gap: int):
         if gap & unpaired:
             low = gap & unpaired
             weights.pair_sum((low & -low).bit_length() - 1)
-        kept = gap & rest
-        product = math.prod(compress(pair_sums, mask_bits(kept))) if kept else 1
-        taken = gap & neutral
-        return take_out(taken.bit_count()) * product if taken else product
+        return math.prod(map(pair_sum, compress(count(), mask_bits(gap))))
 
     return gap_factor
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ddnnf import (
@@ -11,6 +13,7 @@ from ddnnf import (
     stats_line,
     write_nnf,
 )
+from ddnnf.circuit import mask_of
 from ddnnf.compiler import CompileConfig, compile
 from ddnnf.errors import OracleBoundError
 
@@ -187,3 +190,14 @@ def test_stats_line():
     line = stats_line(circuit)
     assert line.startswith("size=16 ")
     assert "vars=6" in line and "tseitin=0" in line
+
+
+def test_mask_of_matches_shifted_bits():
+    rng = random.Random(5)
+    cases = [set(), {1, 10**6}, {0}, set(range(1, 300))]
+    cases += [{rng.randrange(2000) for _ in range(rng.randrange(40))} for _ in range(200)]
+    for vs in cases:
+        assert mask_of(vs) == sum(1 << v for v in set(vs))
+    assert mask_of(iter([3, 3, 1])) == 0b1010
+    with pytest.raises(ValueError):
+        mask_of({1, -2})

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -222,3 +223,22 @@ def test_tvars_sidecar_indented_comment():
 
 def test_tvars_sidecar_trailing_comment():
     assert parse_tvars("t 2 # header\n5 6 # gates\n") == {5, 6}
+
+
+def test_negative_variable_count_is_dimacs_error():
+    with pytest.raises(DimacsError, match="^line 2: negative variable count -1$"):
+        parse_dimacs("c empty\np cnf -1 0\n")
+
+
+def test_large_header_allocates_by_clauses():
+    # The declared variable count alone costs no memory.
+    tracemalloc.start()
+    try:
+        cnf = parse_dimacs("p cnf 2000000 1\n1 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (cnf.num_vars, cnf.clauses) == (2000000, ((1,),))
+    assert peak < 8 * 2**20
+    with pytest.raises(ValueError, match="tseitin_vars outside variable universe"):
+        CnfInstance(3, (), frozenset({0}))

@@ -388,6 +388,13 @@ class TestParseD4:
         with pytest.raises(NnfFormatError):
             parse_nnf("1 o", format="d4")
 
+    @pytest.mark.parametrize(
+        "text, line", [("o 1 0\nt 2 0\n1 2 0 0", 3), ("1 o 0\n2 t 0\nc x\n1 2 3 0 -1 0", 4)]
+    )
+    def test_literal_zero_in_edge_guard(self, text, line):
+        with pytest.raises(NnfFormatError, match=f"^line {line}: literal 0 in edge guard$"):
+            parse_nnf(text, format="d4")
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             parse_nnf("nnf 1 0 0\nA 0", format="dimacs")

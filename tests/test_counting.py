@@ -523,6 +523,15 @@ class TestWeightsFile:
         with pytest.raises(ValueError):
             WeightMap.from_text("w 0 0.5\n")
 
+    @pytest.mark.parametrize(
+        "text, exact",
+        [("w x 0.5\n", False), ("# c\n\nw 1 abc\n", False), ("w 1 0.5\nw 2 1/0", True)],
+    )
+    def test_non_numeric_field_names_the_line(self, text, exact):
+        line = len(text.rstrip("\n").splitlines())
+        with pytest.raises(ValueError, match=f"^line {line}: non-numeric literal or weight$"):
+            WeightMap.from_text(text, exact=exact)
+
 
 def test_tseitin_weighted_one_preserves_formula_wmc():
     rng = random.Random(31)
