@@ -14,7 +14,6 @@ from .circuit import (
     Circuit,
     Node,
     check_decomposable,
-    check_smooth,
     size,
     stats_line,
     write_nnf,

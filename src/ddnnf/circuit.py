@@ -4,21 +4,20 @@ structural property checks, and c2d-style NNF serialization."""
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress, count
 from operator import or_
 from typing import NamedTuple
 
 TRUE, FALSE, LIT, AND, OR = "T", "F", "L", "A", "O"
 
-# Maps the digits of bin() to the bytes 0 and 1, so that compress() can
-# select by them.
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
-
-def mask_bits(mask: int) -> bytes:
-    """Byte j is 1 iff bit j of ``mask`` is set: a selector for
-    ``itertools.compress`` over a sequence indexed by variable."""
-    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+def variables(mask: int):
+    """The variables set in ``mask``, ascending: one string of binary digits,
+    searched for each set bit, so the work follows the bits that are set."""
+    digits = bin(mask)[:1:-1]  # digit v is bit v
+    v = digits.find("1")
+    while v >= 0:
+        yield v
+        v = digits.find("1", v + 1)
 
 
 def reached_from(root: int, children, stop=frozenset()) -> set[int]:
@@ -46,6 +45,21 @@ def mask_of(variables) -> int:
     return int(digits, 2)
 
 
+def range_mask(n: int) -> int:  # the variables 1..n
+    return (1 << (n + 1)) - 2 if n > 0 else 0
+
+
+def mask_within(vs, universe: int) -> int | None:
+    """The mask of the variables ``vs`` (an int is one already), or None when
+    one lies outside the mask ``universe``; a variable beyond it costs nothing."""
+    if not isinstance(vs, int):
+        vs = tuple(vs)
+        if not all(0 <= v < universe.bit_length() for v in vs):
+            return None
+        vs = mask_of(vs)
+    return None if vs & ~universe else vs
+
+
 class Node(NamedTuple):
     """One arena node. A tuple: building one skips a dataclass ``__init__``,
     which matters because parsing and pruning build one per line or node."""
@@ -59,7 +73,7 @@ class Node(NamedTuple):
     @property
     def varset(self) -> frozenset[int]:
         """The variables the node mentions."""
-        return frozenset(compress(count(), mask_bits(self.mask)))
+        return frozenset(variables(self.mask))
 
 
 _TRUE_KEY, _FALSE_KEY = (TRUE,), (FALSE,)
@@ -72,14 +86,17 @@ class Circuit:
     Nodes live in an arena in topological order (children precede parents)
     and are structurally deduplicated: adding an AND/OR with the same child
     multiset, or the same literal, returns the existing id. The arena never
-    simplifies; constant propagation belongs to the pruning pass.
+    simplifies; constant propagation belongs to the pruning pass. The declared
+    universe and its gate variables are the masks ``universe_mask`` and
+    ``tseitin_mask``; each argument is such a mask or a set of variables.
     """
 
     def __init__(self, universe, tseitin_vars=()):
-        self.universe = frozenset(universe)
-        self.tseitin_vars = frozenset(tseitin_vars)
-        if not self.tseitin_vars <= self.universe:
+        self.universe_mask = universe if isinstance(universe, int) else mask_of(universe)
+        tseitin_mask = mask_within(tseitin_vars, self.universe_mask)
+        if tseitin_mask is None:
             raise ValueError("tseitin_vars outside declared universe")
+        self.tseitin_mask = tseitin_mask
         self.root: int | None = None
         self._reachable: tuple[int | None, tuple[int, ...]] = (None, ())  # root, ids
         self._nodes: list[Node] = []
@@ -90,6 +107,10 @@ class Circuit:
         # ANDs whose children share a variable, ascending: check_decomposable
         # looks only at these.
         self._overlapping_ands: list[int] = []
+
+    # Read-only set views of the two masks.
+    universe = property(lambda self: frozenset(variables(self.universe_mask)))
+    tseitin_vars = property(lambda self: frozenset(variables(self.tseitin_mask)))
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -115,10 +136,12 @@ class Circuit:
         nid = self._dedup.get(key)
         if nid is not None:
             return nid
+        # Shifting the universe instead would copy it once per literal.
         var = abs(lit)
-        if lit == 0 or var not in self.universe:
+        universe = self.universe_mask
+        if lit == 0 or var >= universe.bit_length() or not universe & (mask := 1 << var):
             raise ValueError(f"literal {lit} outside universe")
-        return self._append(key, Node(LIT, lit=lit, mask=1 << var))
+        return self._append(key, Node(LIT, lit=lit, mask=mask))
 
     def _add_internal(self, kind: str, children, decision: int = 0) -> int:
         kids = tuple(sorted(children))
@@ -170,8 +193,8 @@ class Circuit:
         if not isinstance(other, Circuit):
             return NotImplemented
         if (
-            self.universe != other.universe
-            or self.tseitin_vars != other.tseitin_vars
+            self.universe_mask != other.universe_mask
+            or self.tseitin_mask != other.tseitin_mask
             or (self.root is None) != (other.root is None)
         ):
             return False
@@ -198,7 +221,7 @@ def stats_line(circuit: Circuit) -> str:
     edges = sum(len(circuit.node(n).children) for n in reach)
     return (
         f"size={size(circuit)} nodes={len(reach)} edges={edges} "
-        f"vars={len(circuit.universe)} tseitin={len(circuit.tseitin_vars)}"
+        f"vars={circuit.universe_mask.bit_count()} tseitin={circuit.tseitin_mask.bit_count()}"
     )
 
 
@@ -212,17 +235,6 @@ def check_decomposable(circuit: Circuit) -> tuple[bool, int | None]:
             if nid in reach:
                 return False, nid
     return True, None
-
-
-def check_smooth(circuit: Circuit) -> bool:
-    """True iff every OR's children mention identical variable sets."""
-    for nid in circuit.reachable():
-        node = circuit.node(nid)
-        if node.kind == OR:
-            first = circuit.node(node.children[0]).mask
-            if any(circuit.node(c).mask != first for c in node.children[1:]):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +252,14 @@ def write_nnf(circuit: Circuit) -> str:
         raise ValueError("circuit has no root")
     reach = circuit.reachable()
     position = {nid: i for i, nid in enumerate(reach)}
-    num_vars = max(circuit.universe, default=0)
+    universe, gates = circuit.universe_mask, circuit.tseitin_mask
+    num_vars = max(universe.bit_length() - 1, 0)
     edges = sum(len(circuit.node(n).children) for n in reach)
     lines = [f"nnf {len(reach)} {edges} {num_vars}"]
-    if circuit.universe != frozenset(range(1, num_vars + 1)):
-        lines.append("c universe " + " ".join(str(v) for v in sorted(circuit.universe)))
-    if circuit.tseitin_vars:
-        lines.append("c tseitin " + " ".join(str(v) for v in sorted(circuit.tseitin_vars)))
+    if universe != range_mask(num_vars):
+        lines.append("c universe " + " ".join(map(str, variables(universe))))
+    if gates:
+        lines.append("c tseitin " + " ".join(map(str, variables(gates))))
     for nid in reach:
         node = circuit.node(nid)
         if node.kind == TRUE:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import formula as fm
-from .circuit import Circuit, check_decomposable, stats_line, write_nnf
+from .circuit import Circuit, check_decomposable, mask_within, stats_line, write_nnf
 from .cnf import (
     CnfInstance,
     DimacsError,
@@ -163,10 +163,10 @@ def _load_circuit(args) -> Circuit:
     circuit = parse_nnf(Path(args.input).read_text(), format=getattr(args, "format", "c2d"))
     tvars_path = getattr(args, "tvars", None)
     if tvars_path:
-        tvars = parse_tvars(Path(tvars_path).read_text())
-        if not tvars <= circuit.universe:
+        tvars = mask_within(parse_tvars(Path(tvars_path).read_text()), circuit.universe_mask)
+        if tvars is None:
             raise ValueError("tvars sidecar lists variables outside the circuit universe")
-        circuit.tseitin_vars = frozenset(tvars)
+        circuit.tseitin_mask = tvars
     return circuit
 
 
@@ -208,7 +208,7 @@ def cmd_prune(args) -> int:
     result, report = prune(circuit)
     # Without internal artifact roots the pruned circuit is the quantified one.
     if args.mode == "p" and report.artifacts_internal:
-        result = exists_quantify(circuit, circuit.tseitin_vars)
+        result = exists_quantify(circuit, circuit.tseitin_mask)
     out_path = Path(args.output) if args.output else _with_suffix(args.input, ".pruned.nnf")
     out_path.write_text(write_nnf(result))
     report_path = Path(str(out_path) + ".report")
@@ -220,15 +220,28 @@ def cmd_prune(args) -> int:
     return 0
 
 
+def _print_in_full(value) -> None:
+    """Print a count of any length. Python caps int-to-text conversion at
+    4,300 digits to keep ``int()`` of hostile input fast; the cap stays in
+    force for parsing and is lifted only here. Builds without it print as is."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(0)
+    try:
+        print(value)
+    finally:
+        set_limit(limit)
+
+
 def cmd_count(args) -> int:
-    print(model_count(_load_circuit(args)))
+    _print_in_full(model_count(_load_circuit(args)))
     return 0
 
 
 def cmd_wmc(args) -> int:
     circuit = _load_circuit(args)
     weights = WeightMap.from_text(Path(args.weights).read_text(), exact=args.exact)
-    print(weighted_model_count(circuit, weights))
+    _print_in_full(weighted_model_count(circuit, weights))
     return 0
 
 
@@ -310,12 +323,9 @@ def _verify_circuit(circuit: Circuit, reference=None, names=None) -> list[tuple[
     results = [("decomposable", check_decomposable(circuit)[0])]
     results.append(("deterministic (brute force)",
                     check_deterministic_oracle(circuit, max_vars=oracle_bound())))
-    counts_ok = True
     flags = artifact_flags(circuit)
-    for nid in circuit.reachable():
-        if (nid in flags) != is_tautology_after_exists(circuit, circuit.tseitin_vars, nid):
-            counts_ok = False
-            break
+    counts_ok = all((nid in flags) == is_tautology_after_exists(circuit, circuit.tseitin_mask, nid)
+                    for nid in circuit.reachable())
     results.append(("artifact flags match tautology oracle", counts_ok))
     pruned, report = prune(circuit, verify=True)
     results.append(("count preserved by pruning", model_count(pruned) == model_count(circuit)))

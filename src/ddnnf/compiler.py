@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from sys import maxsize
 
-from .circuit import AND, FALSE, TRUE, Circuit, check_decomposable
+from .circuit import AND, FALSE, TRUE, Circuit, check_decomposable, range_mask
 from .cnf import Clause, CnfInstance
 from .errors import ToolkitError
 
@@ -62,7 +62,7 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
     cfg = config or CompileConfig()
     explicit = _explicit_order(cfg, cnf.num_vars)
     rank = None if explicit is None else {v: i for i, v in enumerate(explicit)}
-    circuit = Circuit(universe=range(1, cnf.num_vars + 1), tseitin_vars=cnf.tseitin_vars)
+    circuit = Circuit(universe=range_mask(cnf.num_vars), tseitin_vars=cnf.tseitin_vars)
     cache: dict[ComponentKey, int] | None = {} if cfg.cache_enabled else None
     decisions = 0
 
@@ -309,8 +309,8 @@ def _parse_c2d(text: str) -> Circuit:
     # and its node added.
     lines = text.splitlines()
     header = None
-    universe: frozenset[int] | None = None
-    tseitin: frozenset[int] = frozenset()
+    universe: list[int] | None = None
+    tseitin: list[int] = []
     found = 0  # node lines
     for lineno, raw in enumerate(lines, start=1):
         if raw[:1] not in _NODE_STARTS:
@@ -320,7 +320,7 @@ def _parse_c2d(text: str) -> Circuit:
             if fields[0] == "c":
                 if len(fields) > 1 and fields[1] in ("universe", "tseitin"):
                     try:
-                        variables = frozenset(map(int, fields[2:]))
+                        variables = list(map(int, fields[2:]))
                     except ValueError:
                         raise NnfFormatError(f"line {lineno}: non-integer argument") from None
                     if fields[1] == "universe":
@@ -345,18 +345,17 @@ def _parse_c2d(text: str) -> Circuit:
     if header is None:
         raise NnfFormatError("missing 'nnf' header")
     num_nodes, _, num_vars = header
-    if universe is None:
-        universe = frozenset(range(1, num_vars + 1))
-    elif any(v < 1 or v > num_vars for v in universe):
+    if universe is not None and any(v < 1 or v > num_vars for v in universe):
         raise NnfFormatError("universe directive outside header variable range")
-    if not tseitin <= universe:
-        raise NnfFormatError("tseitin directive outside universe")
+    try:
+        circuit = Circuit(range_mask(num_vars) if universe is None else universe, tseitin)
+    except ValueError:
+        raise NnfFormatError("tseitin directive outside universe") from None
     if not found:
         raise NnfFormatError("no nodes")
     if num_nodes != found:
         warnings.warn(f"header declares {num_nodes} nodes, found {found}", stacklevel=3)
 
-    circuit = Circuit(universe, tseitin)
     ids: list[int] = []
 
     def child_ids(lineno: int, refs: list[int]) -> list[int]:
@@ -377,9 +376,10 @@ def _parse_c2d(text: str) -> Circuit:
         if tag == "L":
             if len(args) != 1 or args[0] == 0:
                 raise NnfFormatError(f"line {lineno}: malformed literal node")
-            if abs(args[0]) not in universe:
-                raise NnfFormatError(f"line {lineno}: literal {args[0]} out of range")
-            ids.append(circuit.add_literal(args[0]))
+            try:
+                ids.append(circuit.add_literal(args[0]))
+            except ValueError:
+                raise NnfFormatError(f"line {lineno}: literal {args[0]} out of range") from None
         elif tag == "A":
             if not args or args[0] != len(args) - 1:
                 raise NnfFormatError(f"line {lineno}: AND child count mismatch")
@@ -445,11 +445,8 @@ def _parse_d4(text: str) -> Circuit:
     if first_node is None:
         raise NnfFormatError("no nodes")
 
-    max_var = max(
-        (abs(l) for pairs in edges.values() for _, lits in pairs for l in lits),
-        default=0,
-    )
-    circuit = Circuit(range(1, max_var + 1))
+    max_var = max((abs(l) for ps in edges.values() for _, lits in ps for l in lits), default=0)
+    circuit = Circuit(range_mask(max_var))
     built: dict[int, int] = {}
     in_progress: set[int] = set()
 

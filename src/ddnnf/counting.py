@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, count
+from itertools import repeat
 
-from .circuit import AND, LIT, OR, TRUE, Circuit, check_decomposable, mask_bits, mask_of
+from .circuit import AND, LIT, OR, TRUE, Circuit, check_decomposable, mask_of, variables
 from .errors import ToolkitError
 
 class NonDecomposableError(ToolkitError):
@@ -73,7 +73,7 @@ _UNIT = WeightMap(default=1)
 def annotate_counts(circuit: Circuit) -> dict[int, int]:
     """Exact model count per node, over that node's own variable set: the
     weighted fold with every literal weighing 1."""
-    return _weighted_fold(circuit, _UNIT, _gap_factors(circuit.universe, _UNIT))
+    return _weighted_fold(circuit, _UNIT, _gap_factors(circuit.universe_mask, _UNIT))
 
 
 def model_count(circuit: Circuit) -> int:
@@ -102,13 +102,13 @@ def weighted_model_count(circuit: Circuit, weights: WeightMap):
 
         listed = {lit: scale(w) for lit, w in weights.literal_weights.items() if w is not None}
         weights = WeightMap(listed, default=scale(weights.default))
-    gap_factor = _gap_factors(circuit.universe, weights)
+    universe = circuit.universe_mask
+    gap_factor = _gap_factors(universe, weights)
     values = _weighted_fold(circuit, weights, gap_factor)
-    root_gap = mask_of(circuit.universe) ^ circuit.node(circuit.root).mask
-    total = values[circuit.root] * gap_factor(root_gap)
+    total = values[circuit.root] * gap_factor(universe ^ circuit.node(circuit.root).mask)
     if denominator is None:
         return total
-    return Fraction(total, denominator ** len(circuit.universe))
+    return Fraction(total, denominator ** universe.bit_count())
 
 
 def _common_denominator(weights: WeightMap) -> int | None:
@@ -145,40 +145,41 @@ def _weighted_fold(circuit: Circuit, weights: WeightMap, gap_factor) -> dict[int
     return values
 
 
-def _gap_factors(universe, weights: WeightMap):
+def _gap_factors(universe: int, weights: WeightMap):
     """The function from a gap (the mask of the variables an OR child, or the
     root, leaves out) to the product of their pair sums ``w(v) + w(-v)`` in
     ascending variable order, which fixes float rounding; an empty gap gives
-    1. Each pair sum is read once. When every universe variable has the same
-    pair sum p, an int or the float 1.0, a gap of k variables gives ``p ** k``:
-    the "neutral sum" case of algebraic model counting (Kimmig, Van den Broeck
-    & De Raedt, JAL 2017), which unit, scaled exact and normalized weights take.
-    """
-    default, sums, missing = weights.default, {}, []
-    if default is not None and universe.isdisjoint(map(abs, weights.literal_weights)):
-        # No universe variable is listed: every pair sum is the default's.
-        p = default + default
-        distinct, pair_sum = {(type(p), p)}, lambda v: p
-    else:
-        for v in universe:
-            try:
-                sums[v] = weights.pair_sum(v)
-            except MissingWeightError:
-                missing.append(v)
-        distinct, pair_sum = {(type(s), s) for s in sums.values()}, sums.__getitem__
-    if len(distinct) == 1 and not missing:
+    1. Pair sums are read once, and only for the variables the map lists.
+    When every universe variable has the same pair sum p, an int or the float
+    1.0, a gap of k variables gives ``p ** k``: the "neutral sum" case of
+    algebraic model counting (Kimmig, Van den Broeck & De Raedt, JAL 2017),
+    which unit, scaled exact and normalized weights take."""
+    bound, default = universe.bit_length(), weights.default
+    listed = universe & mask_of({v for v in map(abs, weights.literal_weights) if v < bound})
+    unlisted = None if default is None else default + default  # the others' pair sum
+    sums, missing = {}, []
+    for v in variables(listed):
+        try:
+            sums[v] = weights.pair_sum(v)
+        except MissingWeightError:
+            missing.append(v)
+    distinct = {(type(s), s) for s in sums.values()}
+    others = universe ^ listed
+    unpaired = mask_of(missing) | (others if unlisted is None else 0)
+    if others and unlisted is not None:
+        distinct.add((type(unlisted), unlisted))
+    if len(distinct) == 1 and not unpaired:
         ((kind, p),) = distinct
         if kind is int or kind is float and p == 1.0:
             return lambda gap: p ** gap.bit_count() if gap else 1
     # A gap reaching variables without a pair sum forms the lowest one's
     # again: it raises for the literal an ascending walk would reach first.
-    unpaired = mask_of(missing)
 
     def gap_factor(gap: int):
         if gap & unpaired:
             low = gap & unpaired
             weights.pair_sum((low & -low).bit_length() - 1)
-        return math.prod(map(pair_sum, compress(count(), mask_bits(gap))))
+        return math.prod(map(sums.get, variables(gap), repeat(unlisted)))
 
     return gap_factor
 

@@ -521,13 +521,3 @@ def format_var_map(var_map: dict[str, int]) -> str:
     lines = [f"{name} {idx}" for name, idx in sorted(var_map.items(), key=lambda kv: kv[1])]
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def parse_var_map(text: str) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, idx = line.split()
-        out[name] = int(idx)
-    return out

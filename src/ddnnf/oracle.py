@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from . import formula as fm
-from .circuit import AND, FALSE, LIT, OR, TRUE, Circuit
+from .circuit import AND, FALSE, LIT, OR, TRUE, Circuit, mask_of, variables as mask_variables
 from .cnf import CnfInstance
 from .errors import OracleBoundError
 
@@ -47,14 +49,10 @@ class ModelSet:
 
     def project(self, keep) -> "ModelSet":
         kept = [(j, v) for j, v in enumerate(self.universe) if v in set(keep)]
-        projected = set()
-        for m in self.models:
-            out = 0
-            for newbit, (j, _) in enumerate(kept):
-                if m >> j & 1:
-                    out |= 1 << newbit
-            projected.add(out)
-        return ModelSet(tuple(v for _, v in kept), frozenset(projected))
+        projected = frozenset(
+            sum(1 << k for k, (j, _) in enumerate(kept) if m >> j & 1) for m in self.models
+        )
+        return ModelSet(tuple(v for _, v in kept), projected)
 
 
 def _check_bound(n: int) -> None:
@@ -105,20 +103,16 @@ def _eval_formula(f: fm.Formula, env: dict[str, bool]) -> bool:
 def _cnf_models(cnf: CnfInstance) -> ModelSet:
     universe = tuple(range(1, cnf.num_vars + 1))
     _check_bound(len(universe))
-    models = set()
-    for mask in range(1 << cnf.num_vars):
-        ok = True
-        for clause in cnf.clauses:
-            if not any((l > 0) == bool(mask >> (abs(l) - 1) & 1) for l in clause):
-                ok = False
-                break
-        if ok:
-            models.add(mask)
-    return ModelSet(universe, frozenset(models))
+    models = frozenset(
+        mask
+        for mask in range(1 << cnf.num_vars)
+        if all(any((l > 0) == bool(mask >> (abs(l) - 1) & 1) for l in c) for c in cnf.clauses)
+    )
+    return ModelSet(universe, models)
 
 
 def _circuit_models(circuit: Circuit) -> ModelSet:
-    universe = tuple(sorted(circuit.universe))
+    universe = tuple(mask_variables(circuit.universe_mask))
     tables, _ = circuit_truth_tables(circuit)
     root_table = tables[circuit.root]
     models = frozenset(i for i in range(1 << len(universe)) if root_table >> i & 1)
@@ -131,7 +125,7 @@ def circuit_truth_tables(circuit: Circuit) -> tuple[dict[int, int], int]:
     Returns the tables and the all-assignments mask."""
     if circuit.root is None:
         raise ValueError("circuit has no root")
-    order = sorted(circuit.universe)
+    order = list(mask_variables(circuit.universe_mask))
     _check_bound(len(order))
     return _truth_tables(circuit, order)
 
@@ -153,15 +147,9 @@ def _truth_tables(circuit: Circuit, order) -> tuple[dict[int, int], int]:
             m = masks[abs(node.lit)]
             tables[nid] = m if node.lit > 0 else full ^ m
         elif node.kind == AND:
-            acc = full
-            for c in node.children:
-                acc &= tables[c]
-            tables[nid] = acc
+            tables[nid] = reduce(and_, map(tables.__getitem__, node.children), full)
         elif node.kind == OR:
-            acc = 0
-            for c in node.children:
-                acc |= tables[c]
-            tables[nid] = acc
+            tables[nid] = reduce(or_, map(tables.__getitem__, node.children), 0)
     return tables, full
 
 
@@ -171,12 +159,11 @@ def check_deterministic_oracle(circuit: Circuit, max_vars: int | None = None) ->
     DDNNF_ORACLE_MAX_VARS). The truth tables range over the variables the
     root mentions; the others cannot tell two children apart."""
     bound = max_vars if max_vars is not None else oracle_bound(16)
-    if len(circuit.universe) > bound:
-        raise OracleBoundError(
-            f"universe of {len(circuit.universe)} variables exceeds oracle bound {bound}"
-        )
+    n = circuit.universe_mask.bit_count()
+    if n > bound:
+        raise OracleBoundError(f"universe of {n} variables exceeds oracle bound {bound}")
     if circuit.root is not None:
-        tables, _ = _truth_tables(circuit, sorted(circuit.node(circuit.root).varset))
+        tables, _ = _truth_tables(circuit, list(mask_variables(circuit.node(circuit.root).mask)))
         for nid in circuit.reachable():
             node = circuit.node(nid)
             if node.kind == OR:
@@ -209,16 +196,17 @@ def _exists_at(table: int, position: int, nbits: int) -> int:
 def is_tautology_after_exists(circuit: Circuit, variables, node: int | None = None) -> bool:
     """Ground truth for artifact detection: is the subcircuit rooted at
     ``node`` (default: the root) a tautology over the non-quantified
-    variables it mentions, once ``variables`` are existentially quantified?"""
-    xs = frozenset(variables)
+    variables it mentions, once ``variables`` (a set or its mask) are
+    existentially quantified?"""
+    xs = variables if isinstance(variables, int) else mask_of(variables)
     tables, full = circuit_truth_tables(circuit)
     nid = circuit.root if node is None else node
-    order = sorted(circuit.universe)
+    order = list(mask_variables(circuit.universe_mask))
     nbits = 1 << len(order)
     table = tables[nid]
     mask = circuit.node(nid).mask
     for j, v in enumerate(order):
-        if v in xs or not mask >> v & 1:
+        if xs >> v & 1 or not mask >> v & 1:
             table = _exists_at(table, j, nbits)
     return table == full
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partialmethod
 
-from .circuit import AND, FALSE, LIT, OR, TRUE, Circuit, mask_of, reached_from, size
+from .circuit import AND, FALSE, LIT, OR, TRUE, Circuit, mask_within, reached_from, size
 from .counting import annotate_counts
 from .errors import ToolkitError
 
@@ -70,10 +70,10 @@ class PruneReport:
 
 
 def exists_quantify(circuit: Circuit, variables) -> Circuit:
-    """Forget ``variables``: replace their literals with true, propagate
-    constants to fixpoint, and drop them from the universe."""
-    xs = frozenset(variables)
-    if not xs <= circuit.universe:
+    """Forget ``variables``, a set or its mask: replace their literals with
+    true, propagate constants to fixpoint, and drop them from the universe."""
+    xs = mask_within(variables, circuit.universe_mask)
+    if xs is None:
         raise ValueError("quantified variables outside universe")
     return _rebuild(circuit, xs, frozenset())
 
@@ -83,7 +83,7 @@ def artifact_flags(circuit: Circuit) -> set[int]:
     variables) -- exactly the subcircuits that become tautologies when the
     circuit's designated gate variables are forgotten."""
     counts = annotate_counts(circuit)
-    plain = mask_of(circuit.universe - circuit.tseitin_vars)
+    plain = circuit.universe_mask & ~circuit.tseitin_mask
     flagged = set()
     for nid in circuit.reachable():
         if counts[nid] == 1 << (circuit.node(nid).mask & plain).bit_count():
@@ -113,7 +113,7 @@ def prune(circuit: Circuit, verify: bool = False) -> tuple[Circuit, PruneReport]
     subcircuit survived pruning.
     """
     before = size(circuit)
-    xs = circuit.tseitin_vars
+    xs = circuit.tseitin_mask
     if not xs:
         return circuit, PruneReport(before, before, before, 0, [], 0, 0)
 
@@ -152,19 +152,19 @@ def _assert_no_residual_artifacts(pruned: Circuit) -> None:
         raise PruneVerificationError(f"node {min(residual)} is still a tautology after pruning")
 
 
-def _rebuild(circuit: Circuit, xs: frozenset[int], replace_true: frozenset[int]) -> Circuit:
-    out = Circuit(universe=circuit.universe - xs, tseitin_vars=circuit.tseitin_vars - xs)
+def _rebuild(circuit: Circuit, xs: int, replace_true: frozenset[int]) -> Circuit:
+    out = Circuit(universe=circuit.universe_mask & ~xs, tseitin_vars=circuit.tseitin_mask & ~xs)
     if circuit.root is not None:
         out.set_root(_quantify(circuit, xs, replace_true, out))
     return out
 
 
-def _quantify(circuit: Circuit, xs: frozenset[int], replace_true: frozenset[int], out) -> int:
+def _quantify(circuit: Circuit, xs: int, replace_true: frozenset[int], out) -> int:
     """Add to ``out`` the image of every node reachable from the root, and
-    return the root's image. The literals of ``xs`` and the nodes of
-    ``replace_true`` become true; then constants propagate: a false child
-    makes an AND false and a true child makes an OR true, other constant
-    children are dropped, and a node left with one child is that child.
+    return the root's image. The literals of the mask ``xs``'s variables and
+    the nodes of ``replace_true`` become true; then constants propagate: a
+    false child makes an AND false and a true child makes an OR true, other
+    constant children are dropped, and a node left with one child is that child.
 
     ``out`` is a ``Circuit`` or a ``_SizeSink``; both deduplicate alike, so
     they receive the same nodes in the same order.
@@ -175,7 +175,7 @@ def _quantify(circuit: Circuit, xs: frozenset[int], replace_true: frozenset[int]
     for nid in circuit.reachable():
         node = circuit.node(nid)
         kind = node.kind
-        if nid in replace_true or kind == TRUE or (kind == LIT and abs(node.lit) in xs):
+        if nid in replace_true or kind == TRUE or (kind == LIT and xs & node.mask):
             result = TRUE
         elif kind == FALSE:
             result = FALSE
@@ -192,7 +192,7 @@ def _quantify(circuit: Circuit, xs: frozenset[int], replace_true: frozenset[int]
                 if kind == AND:
                     mapping[nid] = out.add_and(kept)
                 else:
-                    decision = 0 if node.decision in xs else node.decision
+                    decision = 0 if node.decision > 0 and xs >> node.decision & 1 else node.decision
                     mapping[nid] = out.add_or(kept, decision=decision)
                 continue
             elif kept:

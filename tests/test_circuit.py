@@ -6,7 +6,6 @@ from ddnnf import (
     Circuit,
     check_decomposable,
     check_deterministic_oracle,
-    check_smooth,
     parse_dimacs,
     parse_nnf,
     size,
@@ -120,24 +119,6 @@ class TestChecks:
     def test_compile_outputs_decomposable(self):
         circuit = compile(parse_dimacs(OVERLAP_DIMACS))
         assert check_decomposable(circuit)[0]
-
-    def test_smooth_cases(self):
-        c = Circuit({1, 2, 3})
-        ab = c.add_and([c.add_literal(1), c.add_literal(2)])
-        nac = c.add_and([c.add_literal(-1), c.add_literal(3)])
-        c.set_root(c.add_or([ab, nac]))
-        assert not check_smooth(c)
-
-        c2 = Circuit({1})
-        c2.set_root(c2.add_or([c2.add_literal(1), c2.add_literal(-1)]))
-        assert check_smooth(c2)
-
-    def test_decision_or_over_same_varsets_smooth(self):
-        c = Circuit({1, 2})
-        hi = c.add_and([c.add_literal(1), c.add_literal(2)])
-        lo = c.add_and([c.add_literal(-1), c.add_literal(-2)])
-        c.set_root(c.add_or([hi, lo], decision=1))
-        assert check_smooth(c)
 
     def test_deterministic_oracle(self):
         c = Circuit({1, 2})

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,25 @@ class TestWmc:
             code, out, _ = _run(
                 capsys, "wmc", str(circuit), "--weights", str(weights), "--exact")
             assert (code, out) == (0, "20/7\n")
+
+
+class TestBigCounts:
+    # 2^20000 has 6,021 digits, more than the 4,300 that Python converts from
+    # an int to text by default. Decimal builds the expected text without
+    # that limit.
+    def test_count_and_exact_wmc_print_in_full(self, tmp_path, capsys):
+        nnf = tmp_path / "big.nnf"
+        nnf.write_text("nnf 1 0 20000\nA 0\n")
+        weights = tmp_path / "w.txt"
+        weights.write_text("w 1 1/3\nw -1 1/3\n")
+        full = format(Decimal(2**20000), "f")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert _run(capsys, "count", str(nnf)) == (0, full + "\n", "")
+        # 2/3 for x1 and 2 for each of the other 19,999 variables
+        assert _run(capsys, "wmc", str(nnf), "--weights", str(weights), "--exact") == (
+            0, full + "/3\n", "")
+        # the limit still guards the parsing of later input
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 class TestVerify:

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -398,3 +399,33 @@ class TestParseD4:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             parse_nnf("nnf 1 0 0\nA 0", format="dimacs")
+
+
+class TestUniverseOfOneNumber:
+    # A c2d header's variable count, or one d4 guard literal, declares 10^7
+    # variables: what a parse holds must follow the file, not that number.
+    N = 10**7
+    C2D = f"nnf 1 0 {N}\nA 0\n"
+
+    @pytest.mark.parametrize(
+        "text, format", [(C2D, "c2d"), (f"1 o 0\n2 t 0\n1 2 {N} 0\n", "d4")], ids=["c2d", "d4"]
+    )
+    def test_parse_peak_memory(self, text, format):
+        tracemalloc.start()
+        try:
+            circuit = parse_nnf(text, format)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert circuit.universe_mask == (1 << self.N + 1) - 2
+
+    def test_count_and_write(self):
+        circuit = parse_nnf(self.C2D)
+        assert model_count(circuit) == 2**self.N
+        assert write_nnf(circuit) == self.C2D
+
+    @pytest.mark.parametrize("tseitin", ["-1", "0", "3", str(10**12)])
+    def test_tseitin_directive_outside_universe(self, tseitin):
+        with pytest.raises(NnfFormatError, match="^tseitin directive outside universe$"):
+            parse_nnf(f"nnf 1 0 2\nc tseitin 1 {tseitin}\nL 1\n")

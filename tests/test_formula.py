@@ -20,7 +20,7 @@ from ddnnf import (
     tseitin_transform,
     vars_of,
 )
-from ddnnf.formula import FALSE, TRUE, ParseError, format_var_map, parse_var_map
+from ddnnf.formula import FALSE, TRUE, ParseError
 from ddnnf.oracle import check_exists_equiv, enumerate_models, oracle_bound
 
 from helpers import formulas
@@ -405,11 +405,6 @@ def _tree_size(f) -> int:
     if isinstance(f, Iff):
         return 1 + _tree_size(f.left) + _tree_size(f.right)
     return 1 + sum(_tree_size(c) for c in f.children)
-
-
-def test_var_map_roundtrip():
-    vm = {"a": 1, "b": 2, "longer_name": 3}
-    assert parse_var_map(format_var_map(vm)) == vm
 
 
 def test_var_name_validation():
