@@ -23,8 +23,6 @@ from .errors import ToolkitError
 from .oracle import check_exists_equiv, oracle_bound
 from .pruning import prune
 
-ORACLE_VERIFY_MAX_VARS = 14
-
 CSV_HEADER = "instance,size,ddnnf,ddnnf_p,ddnnf_t,artifacts,frac_p,frac_t,compile_ms"
 
 
@@ -46,20 +44,11 @@ class BenchRow:
     timeout: bool = False
 
     def csv_fields(self) -> list[str]:
-        def cell(v, fmt="{}"):
-            return "" if v is None else fmt.format(v)
-
-        return [
-            self.instance,
-            str(self.size),
-            cell(self.ddnnf),
-            cell(self.ddnnf_p),
-            cell(self.ddnnf_t),
-            cell(self.artifacts),
-            cell(self.frac_p, "{:.6f}"),
-            cell(self.frac_t, "{:.6f}"),
-            cell(self.compile_ms, "{:.3f}"),
-        ]
+        """The cells under CSV_HEADER, whose names are the fields'; a value
+        that is None is an empty cell."""
+        formats = ("{}",) * 6 + ("{:.6f}", "{:.6f}", "{:.3f}")
+        values = (getattr(self, name) for name in CSV_HEADER.split(","))
+        return ["" if v is None else fmt.format(v) for v, fmt in zip(values, formats)]
 
 
 @dataclass
@@ -180,7 +169,7 @@ def run_bench(
             continue
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         pruned, report = prune(circuit)
-        if oracle_check and encoded.cnf.num_vars <= min(ORACLE_VERIFY_MAX_VARS, oracle_bound()):
+        if oracle_check and encoded.cnf.num_vars <= oracle_bound():
             if not check_exists_equiv(encoded, encoded.tseitin_vars, f):
                 raise BenchVerificationError(f"{name}: encoding does not project back")
             if not check_exists_equiv(pruned, frozenset(), f, names=encoded.names()):

@@ -27,13 +27,7 @@ from .compiler import CompileConfig, NnfFormatError, compile, parse_nnf
 from .counting import WeightMap, model_count, weighted_model_count
 from .errors import OracleBoundError, ToolkitError
 from .formula import ParseError
-from .oracle import (
-    check_deterministic_oracle,
-    check_exists_equiv,
-    enumerate_models,
-    is_tautology_after_exists,
-    oracle_bound,
-)
+from .oracle import CircuitTables, check_exists_equiv, enumerate_models
 from .pruning import artifact_flags, exists_quantify, prune
 
 
@@ -193,8 +187,9 @@ def cmd_detect(args) -> int:
 
 def cmd_compile(args) -> int:
     cnf = parse_dimacs(Path(args.input).read_text())
+    # An explicit --tvars must exist; the implicit <input>.tvars is optional.
     tvars_path = Path(args.tvars) if args.tvars else _with_suffix(args.input, ".tvars")
-    if tvars_path.exists():
+    if args.tvars or tvars_path.exists():
         cnf = replace(cnf, tseitin_vars=parse_tvars(tvars_path.read_text()))
     circuit = compile(cnf, _config_from_args(args))
     out_path = Path(args.output) if args.output else _with_suffix(args.input, ".nnf")
@@ -282,13 +277,10 @@ def cmd_verify(args) -> int:
         results = _verify_formula(fm.parse_formula(path.read_text()), _config_from_args(args))
     elif suffix == ".cnf":
         cnf = parse_dimacs(path.read_text())
-        if args.tvars:
-            cnf = replace(cnf, tseitin_vars=parse_tvars(Path(args.tvars).read_text()))
-        else:
-            cnf = replace(cnf, tseitin_vars=detect_tseitin_vars(cnf))
-        results = _verify_cnf(cnf, _config_from_args(args))
+        gates = parse_tvars(Path(args.tvars).read_text()) if args.tvars else detect_tseitin_vars(cnf)
+        results = _verify_cnf(replace(cnf, tseitin_vars=gates), _config_from_args(args))
     else:
-        results = _verify_circuit(_load_circuit(args))
+        results = _verify_circuit(CircuitTables(_load_circuit(args)))
     failed = False
     for name, ok in results:
         print(f"{'ok' if ok else 'FAIL'} {name}")
@@ -298,45 +290,44 @@ def cmd_verify(args) -> int:
 
 def _verify_formula(f: fm.Formula, cfg: CompileConfig) -> list[tuple[str, bool]]:
     encoded = fm.tseitin_transform(f)
-    results = [
+    return [
         ("model bijection (formula vs encoded CNF)",
          enumerate_models(f).count() == enumerate_models(encoded.cnf).count()),
         ("projection recovers the formula",
          check_exists_equiv(encoded, encoded.tseitin_vars, f)),
+        *_verify_cnf(encoded.cnf, cfg, reference=f, names=encoded.names()),
     ]
-    results.extend(_verify_cnf(encoded.cnf, cfg, reference=f, names=encoded.names()))
-    return results
 
 
 def _verify_cnf(cnf: CnfInstance, cfg: CompileConfig, reference=None, names=None):
     circuit = compile(cnf, cfg)
     cnf_models = enumerate_models(cnf)
-    circuit_models = enumerate_models(circuit)
-    results = [
-        ("compiled circuit matches CNF models", cnf_models.models == circuit_models.models),
-    ]
-    results.extend(_verify_circuit(circuit, reference=reference, names=names))
-    return results
+    tables = CircuitTables(circuit)
+    return [("compiled circuit matches CNF models",
+             cnf_models.models == enumerate_models(tables).models),
+            *_verify_circuit(tables, reference=reference, names=names)]
 
 
-def _verify_circuit(circuit: Circuit, reference=None, names=None) -> list[tuple[str, bool]]:
-    results = [("decomposable", check_decomposable(circuit)[0])]
-    results.append(("deterministic (brute force)",
-                    check_deterministic_oracle(circuit, max_vars=oracle_bound())))
+def _verify_circuit(tables: CircuitTables, reference=None, names=None) -> list[tuple[str, bool]]:
+    circuit = tables.circuit
     flags = artifact_flags(circuit)
-    counts_ok = all((nid in flags) == is_tautology_after_exists(circuit, circuit.tseitin_mask, nid)
-                    for nid in circuit.reachable())
-    results.append(("artifact flags match tautology oracle", counts_ok))
     pruned, report = prune(circuit, verify=True)
-    results.append(("count preserved by pruning", model_count(pruned) == model_count(circuit)))
-    results.append(("pruned circuit decomposable", check_decomposable(pruned)[0]))
-    results.append(("pruned circuit deterministic (brute force)",
-                    check_deterministic_oracle(pruned, max_vars=oracle_bound())))
-    results.append(("sizes monotone",
-                    report.size_after_artifacts <= report.size_after_exists <= report.size_before))
+    pruned_tables = CircuitTables(pruned)
+    results = [
+        ("decomposable", check_decomposable(circuit)[0]),
+        ("deterministic (brute force)", tables.deterministic()),
+        ("artifact flags match tautology oracle",
+         all((nid in flags) == tables.tautology_after_exists(circuit.tseitin_mask, nid)
+             for nid in circuit.reachable())),
+        ("count preserved by pruning", model_count(pruned) == model_count(circuit)),
+        ("pruned circuit decomposable", check_decomposable(pruned)[0]),
+        ("pruned circuit deterministic (brute force)", pruned_tables.deterministic()),
+        ("sizes monotone",
+         report.size_after_artifacts <= report.size_after_exists <= report.size_before),
+    ]
     if reference is not None:
         results.append(("pruned circuit projects to the source formula",
-                        check_exists_equiv(pruned, frozenset(), reference, names=names)))
+                        check_exists_equiv(pruned_tables, frozenset(), reference, names=names)))
     return results
 
 

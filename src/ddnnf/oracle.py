@@ -1,10 +1,10 @@
 """Independent brute-force semantics for formulas, CNFs, and circuits.
 
-Everything here enumerates complete assignments directly (circuit nodes are
-evaluated as whole truth tables packed into integers, one bit per
-assignment). None of it reuses the counting or compilation machinery, so it
-can serve as ground truth for them.
-"""
+Each is a truth table over an ordered universe of n <= ``oracle_bound()``
+variables: a 2^n-bit integer whose bit i is set iff assignment i (setting
+universe[j] iff bit j of i is set) is a model. None of it reuses the
+counting, compilation or encoding machinery, so it can serve as their
+ground truth."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from functools import reduce
 from operator import and_, or_
 
 from . import formula as fm
-from .circuit import AND, FALSE, LIT, OR, TRUE, Circuit, mask_of, variables as mask_variables
+from .circuit import AND, LIT, OR, TRUE, Circuit, mask_of, variables as mask_variables
 from .cnf import CnfInstance
 from .errors import OracleBoundError
 
@@ -61,120 +61,6 @@ def _check_bound(n: int) -> None:
         raise OracleBoundError(f"{n} variables exceeds oracle bound {bound}")
 
 
-def enumerate_models(source) -> ModelSet:
-    """Exact model set of a Formula, CnfInstance, or Circuit by evaluating
-    every assignment over its variable universe."""
-    if isinstance(source, fm.Formula):
-        return _formula_models(source)
-    if isinstance(source, CnfInstance):
-        return _cnf_models(source)
-    if isinstance(source, Circuit):
-        return _circuit_models(source)
-    raise TypeError(f"cannot enumerate models of {type(source).__name__}")
-
-
-def _formula_models(f: fm.Formula) -> ModelSet:
-    universe = tuple(sorted(fm.vars_of(f)))
-    _check_bound(len(universe))
-    models = set()
-    for mask in range(1 << len(universe)):
-        env = {v: bool(mask >> j & 1) for j, v in enumerate(universe)}
-        if _eval_formula(f, env):
-            models.add(mask)
-    return ModelSet(universe, frozenset(models))
-
-
-def _eval_formula(f: fm.Formula, env: dict[str, bool]) -> bool:
-    if isinstance(f, fm.Var):
-        return env[f.name]
-    if isinstance(f, fm.Const):
-        return f.value
-    if isinstance(f, fm.Not):
-        return not _eval_formula(f.child, env)
-    if isinstance(f, fm.And):
-        return all(_eval_formula(c, env) for c in f.children)
-    if isinstance(f, fm.Or):
-        return any(_eval_formula(c, env) for c in f.children)
-    if isinstance(f, fm.Iff):
-        return _eval_formula(f.left, env) == _eval_formula(f.right, env)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _cnf_models(cnf: CnfInstance) -> ModelSet:
-    universe = tuple(range(1, cnf.num_vars + 1))
-    _check_bound(len(universe))
-    models = frozenset(
-        mask
-        for mask in range(1 << cnf.num_vars)
-        if all(any((l > 0) == bool(mask >> (abs(l) - 1) & 1) for l in c) for c in cnf.clauses)
-    )
-    return ModelSet(universe, models)
-
-
-def _circuit_models(circuit: Circuit) -> ModelSet:
-    universe = tuple(mask_variables(circuit.universe_mask))
-    tables, _ = circuit_truth_tables(circuit)
-    root_table = tables[circuit.root]
-    models = frozenset(i for i in range(1 << len(universe)) if root_table >> i & 1)
-    return ModelSet(universe, models)
-
-
-def circuit_truth_tables(circuit: Circuit) -> tuple[dict[int, int], int]:
-    """Truth table per reachable node, packed as a 2^n-bit integer over the
-    sorted universe (assignment i sets variable j iff bit j of i is set).
-    Returns the tables and the all-assignments mask."""
-    if circuit.root is None:
-        raise ValueError("circuit has no root")
-    order = list(mask_variables(circuit.universe_mask))
-    _check_bound(len(order))
-    return _truth_tables(circuit, order)
-
-
-def _truth_tables(circuit: Circuit, order) -> tuple[dict[int, int], int]:
-    # Tables over ``order``, which must contain every variable a reachable
-    # node mentions; no bound is checked.
-    nbits = 1 << len(order)
-    full = (1 << nbits) - 1
-    masks = {v: _var_mask(j, nbits) for j, v in enumerate(order)}
-    tables: dict[int, int] = {}
-    for nid in circuit.reachable():
-        node = circuit.node(nid)
-        if node.kind == TRUE:
-            tables[nid] = full
-        elif node.kind == FALSE:
-            tables[nid] = 0
-        elif node.kind == LIT:
-            m = masks[abs(node.lit)]
-            tables[nid] = m if node.lit > 0 else full ^ m
-        elif node.kind == AND:
-            tables[nid] = reduce(and_, map(tables.__getitem__, node.children), full)
-        elif node.kind == OR:
-            tables[nid] = reduce(or_, map(tables.__getitem__, node.children), 0)
-    return tables, full
-
-
-def check_deterministic_oracle(circuit: Circuit, max_vars: int | None = None) -> bool:
-    """Brute-force determinism check: no two children of any OR share a
-    model. Only usable on small universes (default bound 16, overridable via
-    DDNNF_ORACLE_MAX_VARS). The truth tables range over the variables the
-    root mentions; the others cannot tell two children apart."""
-    bound = max_vars if max_vars is not None else oracle_bound(16)
-    n = circuit.universe_mask.bit_count()
-    if n > bound:
-        raise OracleBoundError(f"universe of {n} variables exceeds oracle bound {bound}")
-    if circuit.root is not None:
-        tables, _ = _truth_tables(circuit, list(mask_variables(circuit.node(circuit.root).mask)))
-        for nid in circuit.reachable():
-            node = circuit.node(nid)
-            if node.kind == OR:
-                kids = node.children
-                for i in range(len(kids)):
-                    for j in range(i + 1, len(kids)):
-                        if tables[kids[i]] & tables[kids[j]]:
-                            return False
-    return True
-
-
 def _var_mask(position: int, nbits: int) -> int:
     block = 1 << position
     mask = ((1 << block) - 1) << block
@@ -185,6 +71,13 @@ def _var_mask(position: int, nbits: int) -> int:
     return mask
 
 
+def _masks(order) -> tuple[dict, int]:
+    """The table of each variable of ``order``, and the all-assignments one."""
+    _check_bound(len(order))
+    nbits = 1 << len(order)
+    return {v: _var_mask(j, nbits) for j, v in enumerate(order)}, (1 << nbits) - 1
+
+
 def _exists_at(table: int, position: int, nbits: int) -> int:
     # OR the two half-tables of the variable, duplicated back to both halves.
     block = 1 << position
@@ -193,55 +86,182 @@ def _exists_at(table: int, position: int, nbits: int) -> int:
     return merged | (merged << block)
 
 
+def _insert_free(table: int, position: int, nbits: int) -> int:
+    """``table`` (``nbits`` bits) with a free variable inserted at
+    ``position``: block c of 2^position bits moves to block 2c in halving
+    steps, as a Morton code spreads its bits, and is copied to block 2c + 1."""
+    wide = nbits << 1
+    full = (1 << wide) - 1
+    for j in range(nbits.bit_length() - 2, position - 1, -1):
+        table = (table | table << (1 << j)) & (full ^ _var_mask(j, wide))
+    return table | table << (1 << position)
+
+
+# Per connective: its operands, and its table from theirs and the full one.
+_CONNECTIVES = {
+    fm.Not: (lambda g: (g.child,), lambda ts, full: full ^ ts[0]),
+    fm.And: (lambda g: g.children, lambda ts, full: reduce(and_, ts, full)),
+    fm.Or: (lambda g: g.children, lambda ts, full: reduce(or_, ts, 0)),
+    fm.Iff: (lambda g: (g.left, g.right), lambda ts, full: full ^ ts[0] ^ ts[1]),
+}
+
+
+def _formula_table(f: fm.Formula, masks: dict, full: int) -> int:
+    """Table of ``f``, given the table of each variable name, built bottom-up
+    on an explicit stack. Tables are kept by object id, so a sub-formula
+    shared by several parents is expanded once."""
+    tables: dict[int, int] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if isinstance(g, (fm.Var, fm.Const)):
+            stack.pop()
+            tables[id(g)] = masks[g.name] if isinstance(g, fm.Var) else full if g.value else 0
+            continue
+        if type(g) not in _CONNECTIVES:
+            raise TypeError(f"not a formula: {g!r}")
+        operands, combine = _CONNECTIVES[type(g)]
+        kids = operands(g)
+        todo = [c for c in kids if id(c) not in tables]
+        if todo:
+            stack.extend(todo)
+        else:
+            stack.pop()
+            tables[id(g)] = combine([tables[id(c)] for c in kids], full)
+    return tables[id(f)]
+
+
+class CircuitTables:
+    """The truth table of every reachable node of a circuit, built once over
+    the variables the root mentions (``order``, ascending), which no other
+    reachable node exceeds. The bound applies to the whole universe."""
+
+    def __init__(self, circuit: Circuit):
+        if circuit.root is None:
+            raise ValueError("circuit has no root")
+        _check_bound(circuit.universe_mask.bit_count())
+        self.circuit = circuit
+        self.order = tuple(mask_variables(circuit.node(circuit.root).mask))
+        self.tables, self.full = _truth_tables(circuit, self.order)
+        self.nbits = 1 << len(self.order)
+
+    def deterministic(self) -> bool:
+        """No two children of any OR share a model: nonnegative tables add up
+        to their union iff no bit is set in two of them."""
+        tables, circuit = self.tables, self.circuit
+        for nid in circuit.reachable():
+            kids = [tables[c] for c in circuit.node(nid).children]
+            if circuit.node(nid).kind == OR and sum(kids) != reduce(or_, kids):
+                return False
+        return True
+
+    def tautology_after_exists(self, variables: int, nid: int) -> bool:
+        """Is node ``nid`` a tautology over the variables it mentions outside
+        the mask ``variables``, once those in it are forgotten?"""
+        table = self.tables[nid]
+        mask = self.circuit.node(nid).mask
+        for j, v in enumerate(self.order):
+            if variables >> v & 1 or not mask >> v & 1:
+                table = _exists_at(table, j, self.nbits)
+        return table == self.full
+
+
+def _truth_tables(circuit: Circuit, order) -> tuple[dict[int, int], int]:
+    # True is an AND of nothing, false an OR of nothing.
+    masks, full = _masks(order)
+    tables: dict[int, int] = {}
+    for nid in circuit.reachable():
+        node = circuit.node(nid)
+        ts = map(tables.__getitem__, node.children)
+        if node.kind == LIT:
+            m = masks[abs(node.lit)]
+            tables[nid] = m if node.lit > 0 else full ^ m
+        else:
+            tables[nid] = reduce(and_, ts, full) if node.kind in (TRUE, AND) else reduce(or_, ts, 0)
+    return tables, full
+
+
+def _table(source) -> tuple[tuple, int]:
+    """The ordered universe of a Formula, CnfInstance, Circuit or
+    CircuitTables, and its truth table over it."""
+    if isinstance(source, fm.Formula):
+        universe = tuple(sorted(fm.vars_of(source)))
+        return universe, _formula_table(source, *_masks(universe))
+    if isinstance(source, CnfInstance):
+        universe = tuple(range(1, source.num_vars + 1))
+        masks, full = _masks(universe)
+        lits = {**masks, **{-v: full ^ m for v, m in masks.items()}}
+        clauses = (reduce(or_, map(lits.__getitem__, c), 0) for c in source.clauses)
+        return universe, reduce(and_, clauses, full)
+    if isinstance(source, Circuit):
+        source = CircuitTables(source)
+    if isinstance(source, CircuitTables):
+        # Each universe variable the root does not mention is a free one.
+        universe = tuple(mask_variables(source.circuit.universe_mask))
+        table, nbits = source.tables[source.circuit.root], source.nbits
+        for position, v in enumerate(universe):
+            if v not in source.order:
+                table = _insert_free(table, position, nbits)
+                nbits <<= 1
+        return universe, table
+    raise TypeError(f"cannot enumerate models of {type(source).__name__}")
+
+
+def enumerate_models(source) -> ModelSet:
+    """Exact model set of a Formula, CnfInstance, Circuit or CircuitTables:
+    the set bits of its truth table over its variable universe."""
+    universe, table = _table(source)
+    return ModelSet(universe, frozenset(mask_variables(table)))
+
+
+def circuit_truth_tables(circuit: Circuit) -> tuple[dict[int, int], int]:
+    """Truth table per reachable node over the sorted universe, and the
+    all-assignments table."""
+    if circuit.root is None:
+        raise ValueError("circuit has no root")
+    return _truth_tables(circuit, tuple(mask_variables(circuit.universe_mask)))
+
+
+def check_deterministic_oracle(circuit: Circuit) -> bool:
+    """Brute-force determinism check: no two children of any OR share a
+    model. Only usable on universes within ``oracle_bound()``."""
+    if circuit.root is None:
+        _check_bound(circuit.universe_mask.bit_count())
+        return True
+    return CircuitTables(circuit).deterministic()
+
+
 def is_tautology_after_exists(circuit: Circuit, variables, node: int | None = None) -> bool:
     """Ground truth for artifact detection: is the subcircuit rooted at
     ``node`` (default: the root) a tautology over the non-quantified
     variables it mentions, once ``variables`` (a set or its mask) are
     existentially quantified?"""
     xs = variables if isinstance(variables, int) else mask_of(variables)
-    tables, full = circuit_truth_tables(circuit)
     nid = circuit.root if node is None else node
-    order = list(mask_variables(circuit.universe_mask))
-    nbits = 1 << len(order)
-    table = tables[nid]
-    mask = circuit.node(nid).mask
-    for j, v in enumerate(order):
-        if xs >> v & 1 or not mask >> v & 1:
-            table = _exists_at(table, j, nbits)
-    return table == full
+    return CircuitTables(circuit).tautology_after_exists(xs, nid)
 
 
 def check_exists_equiv(source, variables, reference: fm.Formula, names=None) -> bool:
     """Does forgetting ``variables`` from ``source`` leave exactly the
-    models of ``reference``?
-
-    ``source`` is a TseitinOutput (variable names taken from its map), a
-    CnfInstance, or a Circuit; for the latter two, ``names`` maps variable
-    indices to the reference's variable names (identity on indices left
-    unmapped is assumed otherwise).
-    """
+    models of ``reference``? ``source`` is a TseitinOutput (variable names
+    taken from its map), a CnfInstance, a Circuit or its CircuitTables; for
+    the latter three, ``names`` maps variable indices to the reference's
+    names (an unmapped index names itself). The reference is tabled over
+    the positions of the source's kept variables."""
     xs = frozenset(variables)
     if isinstance(source, fm.TseitinOutput):
         if names is None:
             names = source.names()
         source = source.cnf
     names = names or {}
-    ms = enumerate_models(source)
-    keep = [v for v in ms.universe if v not in xs]
-    named = [names.get(v, v) for v in keep]
-    ref_vars = fm.vars_of(reference)
-    if not ref_vars <= set(named):
+    universe, table = _table(source)
+    nbits = 1 << len(universe)
+    named = {}
+    for j, v in enumerate(universe):
+        if v in xs:
+            table = _exists_at(table, j, nbits)
+        else:
+            named[names.get(v, v)] = _var_mask(j, nbits)
+    if not fm.vars_of(reference) <= named.keys():
         return False
-
-    positions = [ms.universe.index(v) for v in keep]
-    projected = set()
-    for m in ms.models:
-        projected.add(frozenset(named[k] for k, p in enumerate(positions) if m >> p & 1))
-
-    _check_bound(len(named))
-    reference_models = set()
-    for mask in range(1 << len(named)):
-        env = {nm: bool(mask >> j & 1) for j, nm in enumerate(named)}
-        if _eval_formula(reference, env):
-            reference_models.add(frozenset(nm for nm in named if env[nm]))
-    return projected == reference_models
+    return table == _formula_table(reference, named, (1 << nbits) - 1)

@@ -4,7 +4,7 @@ import random
 
 import hypothesis.strategies as st
 
-from ddnnf import And, CnfInstance, Const, Iff, Not, Or, Var, conj, disj
+from ddnnf import And, CnfInstance, Const, Iff, Not, Or, Var, conj, disj, vars_of
 from ddnnf.cnf import Clause
 
 NAMES = ["a", "b", "c", "d", "e", "f", "g", "h"]
@@ -163,3 +163,103 @@ def split_components(cnf: CnfInstance) -> list[CnfInstance]:
             CnfInstance(cnf.num_vars, tuple(group), cnf.tseitin_vars & group_vars)
         )
     return components
+
+
+# ---------------------------------------------------------------------------
+# Truth one assignment at a time: the reference that the packed truth tables
+# of ddnnf.oracle are tested against.
+
+
+def assignments(universe):
+    """Each assignment over ``universe`` as (i, env): bit j of i is the value
+    env gives universe[j]."""
+    for i in range(1 << len(universe)):
+        yield i, {v: bool(i >> j & 1) for j, v in enumerate(universe)}
+
+
+def eval_formula(f, env) -> bool:
+    if isinstance(f, Var):
+        return env[f.name]
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, Not):
+        return not eval_formula(f.child, env)
+    if isinstance(f, And):
+        return all(eval_formula(c, env) for c in f.children)
+    if isinstance(f, Or):
+        return any(eval_formula(c, env) for c in f.children)
+    if isinstance(f, Iff):
+        return eval_formula(f.left, env) == eval_formula(f.right, env)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def formula_models(f) -> tuple[tuple, frozenset[int]]:
+    universe = tuple(sorted(vars_of(f)))
+    return universe, frozenset(i for i, env in assignments(universe) if eval_formula(f, env))
+
+
+def cnf_models(cnf: CnfInstance) -> tuple[tuple, frozenset[int]]:
+    universe = tuple(range(1, cnf.num_vars + 1))
+    return universe, frozenset(
+        i
+        for i, env in assignments(universe)
+        if all(any(env[abs(l)] == (l > 0) for l in c) for c in cnf.clauses)
+    )
+
+
+def circuit_rows(circuit) -> list[tuple[dict, dict[int, bool]]]:
+    """Per assignment over the sorted universe, in order: the assignment and
+    the value of every reachable node under it."""
+    rows = []
+    for _, env in assignments(tuple(sorted(circuit.universe))):
+        values: dict[int, bool] = {}
+        for nid in circuit.reachable():
+            node = circuit.node(nid)
+            kids = [values[c] for c in node.children]
+            if node.kind == "L":
+                values[nid] = env[abs(node.lit)] == (node.lit > 0)
+            else:  # true is an AND of nothing, false an OR of nothing
+                values[nid] = all(kids) if node.kind in ("T", "A") else any(kids)
+        rows.append((env, values))
+    return rows
+
+
+def circuit_models(circuit) -> tuple[tuple, frozenset[int]]:
+    rows = circuit_rows(circuit)
+    return tuple(sorted(circuit.universe)), frozenset(
+        i for i, (_, values) in enumerate(rows) if values[circuit.root]
+    )
+
+
+def circuit_deterministic(circuit, rows) -> bool:
+    """No assignment sets two children of one OR."""
+    ors = [circuit.node(nid).children for nid in circuit.reachable()
+           if circuit.node(nid).kind == "O"]
+    return all(sum(values[c] for c in kids) <= 1 for _, values in rows for kids in ors)
+
+
+def tautology_after_exists(circuit, rows, variables, nid) -> bool:
+    """Does every assignment to the variables ``nid`` mentions outside
+    ``variables`` extend to one that makes ``nid`` true?"""
+    kept = sorted(circuit.node(nid).varset - set(variables))
+    seen = {tuple(env[v] for v in kept) for env, values in rows if values[nid]}
+    return len(seen) == 1 << len(kept)
+
+
+def exists_equiv(universe, models, variables, reference, names) -> bool:
+    """Do ``models`` over ``universe``, with ``variables`` forgotten and the
+    rest renamed by ``names``, have exactly the models of ``reference``?"""
+    kept = [v for v in universe if v not in variables]
+    named = [names.get(v, v) for v in kept]
+    if not vars_of(reference) <= set(named):
+        return False
+    projected = {
+        frozenset(names.get(v, v) for j, v in enumerate(universe) if v in kept and i >> j & 1)
+        for i in models
+    }
+    expected = {
+        frozenset(nm for nm in named if env[nm])
+        for _, env in assignments(named)
+        if eval_formula(reference, env)
+    }
+    return projected == expected

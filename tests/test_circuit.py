@@ -130,12 +130,13 @@ class TestChecks:
         c2.set_root(c2.add_or([c2.add_literal(1), c2.add_literal(2)]))
         assert not check_deterministic_oracle(c2)
 
-    def test_oracle_bound(self):
+    def test_oracle_bound(self, monkeypatch):
         c = Circuit(range(1, 30))
         c.set_root(c.add_true())
         with pytest.raises(OracleBoundError):
             check_deterministic_oracle(c)
-        assert check_deterministic_oracle(c, max_vars=30)
+        monkeypatch.setenv("DDNNF_ORACLE_MAX_VARS", "30")
+        assert check_deterministic_oracle(c)
 
 
 class TestSerialization:

@@ -186,6 +186,17 @@ class TestCompilePruneCount:
         assert code == 0
         assert "artifacts=" in out
 
+    def test_missing_explicit_tvars_is_a_file_error(self, workspace, capsys):
+        # The implicit <input>.tvars is optional; an explicit path is not.
+        _run(capsys, "tseitin", str(workspace / "f.bool"))
+        code, _, err = _run(capsys, "compile", str(workspace / "f.cnf"),
+                            "--tvars", str(workspace / "missing.tvars"))
+        assert code == 1
+        assert err.startswith("file error:")
+        assert not (workspace / "f.nnf").exists()
+        (workspace / "f.tvars").unlink()
+        assert _run(capsys, "compile", str(workspace / "f.cnf"))[0] == 0
+
     def test_count_true_circuit(self, tmp_path, capsys):
         nnf = tmp_path / "t.nnf"
         nnf.write_text("nnf 1 0 4\nA 0\n")
@@ -376,6 +387,25 @@ def test_deeply_nested_formula_encodes(tmp_path, text, cnf_head, gates):
     assert cnf[: len(cnf_head)] == cnf_head
     assert len(cnf) == 1 + int(cnf[0].split()[3])
     assert (tmp_path / "deep.tvars").read_text().splitlines()[0] == f"t {gates}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["!" * 1500 + "a\n", "(a & " * 1500 + "b" + ")" * 1500 + "\n"],
+    ids=["negations_1500", "parentheses_1500"],
+)
+def test_deeply_nested_formula_verifies(tmp_path, text):
+    path = tmp_path / "deep.bool"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(ddnnf.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddnnf", "verify", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "FAIL" not in proc.stdout
+    assert "ok projection recovers the formula" in proc.stdout
 
 
 @pytest.mark.parametrize("tvars", ["t\n5\n", "t five\n5\n", "t 1\nx5\n"],

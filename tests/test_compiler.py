@@ -97,7 +97,7 @@ class TestCompile:
     @settings(max_examples=60, deadline=None)
     def test_deterministic_by_construction(self, cnf):
         circuit = compile(cnf, CompileConfig(order="dynamic"))
-        assert check_deterministic_oracle(circuit, max_vars=10)
+        assert check_deterministic_oracle(circuit)
 
     def test_cache_only_changes_sharing(self):
         rng = random.Random(9)

@@ -1,15 +1,41 @@
+import random
+
 import pytest
 
-from ddnnf import Circuit, parse_dimacs, parse_formula, tseitin_transform
+from ddnnf import (
+    And,
+    Circuit,
+    CnfInstance,
+    Const,
+    Iff,
+    Not,
+    Or,
+    Var,
+    parse_dimacs,
+    parse_formula,
+    tseitin_transform,
+)
 from ddnnf.errors import OracleBoundError
 from ddnnf.oracle import (
     ModelSet,
+    check_deterministic_oracle,
     check_exists_equiv,
     enumerate_models,
     is_tautology_after_exists,
     oracle_bound,
 )
 
+from helpers import (
+    NAMES,
+    circuit_deterministic,
+    circuit_models,
+    circuit_rows,
+    cnf_models,
+    exists_equiv,
+    formula_models,
+    random_cnf,
+    tautology_after_exists,
+)
 from test_cnf import OVERLAP_DIMACS
 
 
@@ -111,3 +137,87 @@ class TestTautologyAfterExists:
         c.set_root(root)
         assert is_tautology_after_exists(c, {1}, node=lit)
         assert not is_tautology_after_exists(c, {1}, node=root)
+
+
+def _shared_formula(rng: random.Random, num_vars: int, depth: int, pool: list):
+    """Random formula with constants, nested <=> and sub-objects shared
+    through ``pool``, which collects every internal node built."""
+    if pool and rng.random() < 0.15:
+        return rng.choice(pool)
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.1:
+            return Const(rng.random() < 0.5)
+        return Var(NAMES[rng.randrange(num_vars)])
+    kind = rng.randrange(4)
+    if kind == 0:
+        g = Not(_shared_formula(rng, num_vars, depth - 1, pool))
+    elif kind == 1:
+        g = Iff(_shared_formula(rng, num_vars, depth - 1, pool),
+                _shared_formula(rng, num_vars, depth - 1, pool))
+    else:
+        kids = tuple(_shared_formula(rng, num_vars, depth - 1, pool)
+                     for _ in range(rng.randint(2, 3)))
+        g = And(kids) if kind == 2 else Or(kids)
+    pool.append(g)
+    return g
+
+
+def _sparse_circuit(rng: random.Random) -> Circuit:
+    """Random circuit, decomposable or not, over a few variables drawn from
+    1..10^4; some universe variables are never mentioned."""
+    universe = sorted(rng.sample(range(1, 10**4), rng.randint(1, 7)))
+    gates = rng.sample(universe, rng.randint(0, len(universe) // 2))
+    c = Circuit(universe, tseitin_vars=gates)
+    mentioned = rng.sample(universe, rng.randint(1, len(universe)))
+    nodes = [c.add_literal(v if rng.random() < 0.5 else -v) for v in mentioned]
+    nodes += [c.add_true(), c.add_false()][: rng.randrange(3)]
+    for _ in range(rng.randint(0, 8)):
+        kids = rng.sample(nodes, rng.randint(1, min(3, len(nodes))))
+        nodes.append(c.add_and(kids) if rng.random() < 0.5 else c.add_or(kids))
+    c.set_root(nodes[-1])
+    return c
+
+
+class TestAgainstPerAssignment:
+    """The packed tables against the one-assignment-at-a-time reference of
+    tests/helpers.py."""
+
+    def test_formulas(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            num_vars = rng.randint(1, 6)
+            f = _shared_formula(rng, num_vars, rng.randint(0, 5), [])
+            ms = enumerate_models(f)
+            assert (ms.universe, ms.models) == formula_models(f), f
+            out = tseitin_transform(f)
+            if out.cnf.num_vars > 12:  # kept small for the reference
+                continue
+            wrong = _shared_formula(rng, num_vars, 2, [])
+            models = cnf_models(out.cnf)
+            for ref in (f, wrong):
+                assert check_exists_equiv(out, out.tseitin_vars, ref) == exists_equiv(
+                    *models, out.tseitin_vars, ref, out.names()), (f, ref)
+
+    def test_cnfs(self):
+        rng = random.Random(43)
+        cnfs = [CnfInstance(0, ()), CnfInstance(0, ((),))]
+        for i in range(300):
+            cnf = random_cnf(rng, max_vars=8, max_clauses=20, gate_prob=0.3)
+            clauses = cnf.clauses + (((),) if i % 5 == 0 else ())
+            cnfs.append(CnfInstance(cnf.num_vars + i % 3, clauses))  # i % 3 unused variables
+        for cnf in cnfs:
+            ms = enumerate_models(cnf)
+            assert (ms.universe, ms.models) == cnf_models(cnf), cnf
+
+    def test_sparse_circuits(self):
+        rng = random.Random(47)
+        for _ in range(300):
+            c = _sparse_circuit(rng)
+            rows = circuit_rows(c)
+            ms = enumerate_models(c)
+            assert (ms.universe, ms.models) == circuit_models(c)
+            assert check_deterministic_oracle(c) == circuit_deterministic(c, rows)
+            xs = set(rng.sample(sorted(c.universe), min(2, len(c.universe)))) | c.tseitin_vars
+            for nid in c.reachable():
+                assert is_tautology_after_exists(c, xs, nid) == tautology_after_exists(
+                    c, rows, xs, nid), (nid, xs)
