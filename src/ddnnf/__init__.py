@@ -14,6 +14,7 @@ from .circuit import (
     Circuit,
     Node,
     check_decomposable,
+    parse_nnf,
     size,
     stats_line,
     write_nnf,
@@ -26,7 +27,7 @@ from .cnf import (
     parse_tvars,
     write_dimacs,
 )
-from .compiler import CompileBudgetError, CompileConfig, parse_nnf
+from .compiler import CompileBudgetError, CompileConfig
 from .compiler import compile as compile_cnf
 from .counting import WeightMap, annotate_counts, model_count, weighted_model_count
 from .errors import OracleBoundError, ToolkitError

@@ -1,13 +1,39 @@
 """d-DNNF circuits: a deduplicated DAG arena, the binary-node size metric,
-structural property checks, and c2d-style NNF serialization."""
+structural property checks, and the c2d and d4 text formats: c2d written
+and read, d4 read."""
 
 from __future__ import annotations
 
+import warnings
+from collections.abc import Generator
 from functools import reduce
 from operator import or_
 from typing import NamedTuple
 
+from .errors import ToolkitError
+
 TRUE, FALSE, LIT, AND, OR = "T", "F", "L", "A", "O"
+
+
+class NnfFormatError(ToolkitError):
+    pass
+
+
+def _run(task: Generator):
+    # Drives generator-based recursion on an explicit stack: a task yields a
+    # subtask, and is resumed with the subtask's return value.
+    stack = [task]
+    result = None
+    while stack:
+        try:
+            subtask = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(subtask)
+            result = None
+    return result
 
 
 def variables(mask: int):
@@ -238,11 +264,12 @@ def check_decomposable(circuit: Circuit) -> tuple[bool, int | None]:
 
 
 # ---------------------------------------------------------------------------
-# c2d NNF serialization
+# Text formats: c2d written and read, d4 read
 
 # Node lines follow the c2d conventions: `L <lit>`, `A <c> <ids...>`,
-# `O <j> <c> <ids...>` with `A 0` for true and `O 0 0` for false; nodes are
-# 0-indexed in topological order and the last node is the root. Universe and
+# `O <j> <c> <ids...>` with `A 0` for true and `O 0 0` for false; an OR's
+# decision field j is 0 or a universe variable. Nodes are 0-indexed in
+# topological order and the last node is the root. Universe and
 # designated-variable information that the header cannot carry is written as
 # comment directives so that circuits round-trip exactly.
 
@@ -275,3 +302,211 @@ def write_nnf(circuit: Circuit) -> str:
             ids = " ".join(str(position[c]) for c in node.children)
             lines.append(f"O {node.decision} {len(node.children)} {ids}")
     return "\n".join(lines) + "\n"
+
+
+def parse_nnf(text: str, format: str = "c2d") -> Circuit:
+    """Parse a compiled circuit. Decomposability is verified on load;
+    determinism is assumed, not checked."""
+    if format == "c2d":
+        circuit = _parse_c2d(text)
+    elif format == "d4":
+        circuit = _parse_d4(text)
+    else:
+        raise ValueError(f"unknown NNF format {format!r}")
+    ok, bad = check_decomposable(circuit)
+    if not ok:
+        raise NnfFormatError(f"AND node {bad} has children sharing variables")
+    return circuit
+
+
+# First characters that make a line a node line at a glance: its first token
+# is then neither a comment nor the header.
+_NODE_STARTS = frozenset("LAO")
+_NOT_NODES = ("c", "nnf")
+
+
+def _parse_c2d(text: str) -> Circuit:
+    # First pass: the header and the directives, which may come anywhere;
+    # node lines are only counted. Second pass: each node line is split once
+    # and its node added.
+    lines = text.splitlines()
+    header = None
+    universe: list[int] | None = None
+    tseitin: list[int] = []
+    found = 0  # node lines
+    for lineno, raw in enumerate(lines, start=1):
+        if raw[:1] not in _NODE_STARTS:
+            fields = raw.split()
+            if not fields:
+                continue
+            if fields[0] == "c":
+                if len(fields) > 1 and fields[1] in ("universe", "tseitin"):
+                    try:
+                        listed = list(map(int, fields[2:]))
+                    except ValueError:
+                        raise NnfFormatError(f"line {lineno}: non-integer argument") from None
+                    if fields[1] == "universe":
+                        universe = listed
+                    else:
+                        tseitin = listed
+                continue
+            if fields[0] == "nnf":
+                if header is not None:
+                    raise NnfFormatError(f"line {lineno}: duplicate header")
+                try:
+                    header = tuple(int(t) for t in fields[1:])
+                except ValueError:
+                    header = None
+                if header is None or len(header) != 3:
+                    raise NnfFormatError(f"line {lineno}: malformed header {raw.strip()!r}")
+                continue
+        if header is None:
+            raise NnfFormatError(f"line {lineno}: node before 'nnf' header")
+        found += 1
+
+    if header is None:
+        raise NnfFormatError("missing 'nnf' header")
+    num_nodes, _, num_vars = header
+    if universe is not None and any(v < 1 or v > num_vars for v in universe):
+        raise NnfFormatError("universe directive outside header variable range")
+    try:
+        circuit = Circuit(range_mask(num_vars) if universe is None else universe, tseitin)
+    except ValueError:
+        raise NnfFormatError("tseitin directive outside universe") from None
+    if not found:
+        raise NnfFormatError("no nodes")
+    if num_nodes != found:
+        warnings.warn(f"header declares {num_nodes} nodes, found {found}", stacklevel=3)
+
+    ids: list[int] = []
+    universe_mask = circuit.universe_mask
+
+    def child_ids(lineno: int, refs: list[int]) -> list[int]:
+        if min(refs) < 0 or max(refs) >= len(ids):
+            bad = next(i for i in refs if not 0 <= i < len(ids))
+            raise NnfFormatError(f"line {lineno}: dangling node reference {bad}")
+        return [ids[i] for i in refs]
+
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields or fields[0] in _NOT_NODES:
+            continue
+        tag = fields[0]
+        try:
+            args = list(map(int, fields[1:]))
+        except ValueError:
+            raise NnfFormatError(f"line {lineno}: non-integer argument") from None
+        if tag == "L":
+            if len(args) != 1 or args[0] == 0:
+                raise NnfFormatError(f"line {lineno}: malformed literal node")
+            try:
+                ids.append(circuit.add_literal(args[0]))
+            except ValueError:
+                raise NnfFormatError(f"line {lineno}: literal {args[0]} out of range") from None
+        elif tag == "A":
+            if not args or args[0] != len(args) - 1:
+                raise NnfFormatError(f"line {lineno}: AND child count mismatch")
+            if args[0] == 0:
+                ids.append(circuit.add_true())
+            else:
+                ids.append(circuit.add_and(child_ids(lineno, args[1:])))
+        elif tag == "O":
+            if len(args) < 2 or args[1] != len(args) - 2:
+                raise NnfFormatError(f"line {lineno}: OR child count mismatch")
+            if args[0] and not (args[0] > 0 and universe_mask >> args[0] & 1):
+                raise NnfFormatError(f"line {lineno}: decision variable {args[0]} out of range")
+            if args[1] == 0:
+                ids.append(circuit.add_false())
+            else:
+                ids.append(circuit.add_or(child_ids(lineno, args[2:]), decision=args[0]))
+        else:
+            raise NnfFormatError(f"line {lineno}: unknown node tag {tag!r}")
+
+    circuit.set_root(ids[-1])
+    return circuit
+
+
+_D4_KINDS = ("o", "a", "t", "f")
+
+
+def _parse_d4(text: str) -> Circuit:
+    kinds: dict[int, str] = {}
+    edges: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    first_node: int | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        if fields[-1] != "0":
+            raise NnfFormatError(f"line {lineno}: line must end with 0")
+        fields = fields[:-1]
+        if len(fields) == 2 and (fields[0] in _D4_KINDS or fields[1] in _D4_KINDS):
+            # Accept both `<id> o` (spec order) and `o <id>` (d4 output order).
+            kind, raw_id = (fields[0], fields[1]) if fields[0] in _D4_KINDS else (fields[1], fields[0])
+            try:
+                nid = int(raw_id)
+            except ValueError:
+                raise NnfFormatError(f"line {lineno}: bad node id {raw_id!r}") from None
+            if nid in kinds:
+                raise NnfFormatError(f"line {lineno}: duplicate node {nid}")
+            kinds[nid] = kind
+            edges.setdefault(nid, [])
+            if first_node is None:
+                first_node = nid
+        else:
+            try:
+                ints = [int(t) for t in fields]
+            except ValueError:
+                raise NnfFormatError(f"line {lineno}: non-integer token") from None
+            if len(ints) < 2:
+                raise NnfFormatError(f"line {lineno}: malformed edge")
+            src, dst, lits = ints[0], ints[1], tuple(ints[2:])
+            if src not in kinds or dst not in kinds:
+                raise NnfFormatError(f"line {lineno}: edge references undeclared node")
+            if 0 in lits:
+                raise NnfFormatError(f"line {lineno}: literal 0 in edge guard")
+            edges[src].append((dst, lits))
+    if first_node is None:
+        raise NnfFormatError("no nodes")
+
+    max_var = max((abs(l) for ps in edges.values() for _, lits in ps for l in lits), default=0)
+    circuit = Circuit(range_mask(max_var))
+    built: dict[int, int] = {}
+    in_progress: set[int] = set()
+
+    # A generator run by _run, so a deep circuit needs no Python recursion:
+    # ``yield build(dst)`` gives the id of node ``dst``.
+    def build(nid: int):
+        if nid in built:
+            return built[nid]
+        if nid in in_progress:
+            raise NnfFormatError(f"cyclic reference through node {nid}")
+        in_progress.add(nid)
+        kind = kinds[nid]
+        if kind == "t":
+            result = circuit.add_true()
+        elif kind == "f":
+            result = circuit.add_false()
+        elif kind == "o":
+            if not edges[nid]:
+                raise NnfFormatError(f"node {nid} has no outgoing edges")
+            parts = []
+            for dst, lits in edges[nid]:
+                conj = [circuit.add_literal(l) for l in lits] + [(yield build(dst))]
+                parts.append(conj[0] if len(conj) == 1 else circuit.add_and(conj))
+            result = circuit.add_or(parts)
+        else:
+            if not edges[nid]:
+                raise NnfFormatError(f"node {nid} has no outgoing edges")
+            flat: list[int] = []
+            for dst, lits in edges[nid]:
+                flat.extend(circuit.add_literal(l) for l in lits)
+                flat.append((yield build(dst)))
+            result = flat[0] if len(flat) == 1 else circuit.add_and(flat)
+        in_progress.discard(nid)
+        built[nid] = result
+        return result
+
+    circuit.set_root(_run(build(first_node)))
+    return circuit

@@ -8,12 +8,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
 from . import formula as fm
-from .circuit import Circuit, check_decomposable, mask_within, stats_line, write_nnf
+from .circuit import (
+    Circuit,
+    NnfFormatError,
+    check_decomposable,
+    mask_within,
+    parse_nnf,
+    stats_line,
+    write_nnf,
+)
 from .cnf import (
     CnfInstance,
     DimacsError,
@@ -23,7 +32,7 @@ from .cnf import (
     parse_tvars,
     write_dimacs,
 )
-from .compiler import CompileConfig, NnfFormatError, compile, parse_nnf
+from .compiler import CompileConfig, compile
 from .counting import WeightMap, model_count, weighted_model_count
 from .errors import OracleBoundError, ToolkitError
 from .formula import ParseError
@@ -35,7 +44,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # One line per warning, without Python's source location.
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
     except (ParseError, DimacsError, NnfFormatError) as exc:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
+from .circuit import _run
 from .errors import ToolkitError
 
 Clause = tuple[int, ...]
@@ -199,53 +200,34 @@ def detect_tseitin_vars(cnf: CnfInstance) -> frozenset[int]:
 
 
 def _cyclic_vars(deps: dict[int, set[int]]) -> list[set[int]]:
-    """Nontrivial strongly connected components of the definition graph."""
+    """Nontrivial strongly connected components of the definition graph, by
+    Tarjan's algorithm. ``visit`` is written as recursion and run by
+    ``_run``, so a long chain of definitions needs no Python recursion."""
     index_of: dict[int, int] = {}
     lowlink: dict[int, int] = {}
     on_stack: set[int] = set()
     stack: list[int] = []
     sccs: list[set[int]] = []
-    counter = [0]
 
-    def strongconnect(v: int) -> None:
-        # Iterative Tarjan to avoid recursion limits on long chains.
-        work = [(v, iter(sorted(deps[v])))]
-        index_of[v] = lowlink[v] = counter[0]
-        counter[0] += 1
+    def visit(v: int):
+        index_of[v] = lowlink[v] = len(index_of)
+        base = len(stack)
         stack.append(v)
         on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index_of:
-                    index_of[w] = lowlink[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(deps[w]))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                scc = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.add(w)
-                    if w == node:
-                        break
-                if len(scc) > 1 or node in deps[node]:
-                    sccs.append(scc)
+        for w in sorted(deps[v]):
+            if w not in index_of:
+                yield visit(w)
+                lowlink[v] = min(lowlink[v], lowlink[w])
+            elif w in on_stack:
+                lowlink[v] = min(lowlink[v], index_of[w])
+        if lowlink[v] == index_of[v]:
+            scc = set(stack[base:])
+            del stack[base:]
+            on_stack.difference_update(scc)
+            if len(scc) > 1 or v in deps[v]:
+                sccs.append(scc)
 
     for v in sorted(deps):
         if v not in index_of:
-            strongconnect(v)
+            _run(visit(v))
     return sccs

@@ -166,6 +166,33 @@ def split_components(cnf: CnfInstance) -> list[CnfInstance]:
 
 
 # ---------------------------------------------------------------------------
+# Strongly connected components by mutual reachability: the reference that
+# cnf._cyclic_vars (Tarjan's algorithm) is tested against.
+
+
+def cyclic_components(deps: dict[int, set[int]]) -> list[set[int]]:
+    """The components of the graph ``v -> deps[v]`` that contain a cycle:
+    v and w share one when each reaches the other by a path of one or more
+    edges, and a lone node counts when it has a self-loop."""
+    reach = {}
+    for v in deps:
+        seen: set[int] = set()
+        todo = list(deps[v])
+        while todo:
+            w = todo.pop()
+            if w not in seen:
+                seen.add(w)
+                todo.extend(deps[w])
+        reach[v] = seen
+    sccs: list[set[int]] = []
+    for v in deps:
+        scc = {w for w in reach[v] if v in reach[w]}
+        if scc and scc not in sccs:
+            sccs.append(scc)
+    return sccs
+
+
+# ---------------------------------------------------------------------------
 # Truth one assignment at a time: the reference that the packed truth tables
 # of ddnnf.oracle are tested against.
 

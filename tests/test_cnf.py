@@ -13,10 +13,10 @@ from ddnnf import (
     tseitin_transform,
     write_dimacs,
 )
-from ddnnf.cnf import DimacsError, normalize_clause
+from ddnnf.cnf import DimacsError, _cyclic_vars, normalize_clause
 from ddnnf.oracle import enumerate_models
 
-from helpers import cnf_strategy, condition, random_formula, split_components
+from helpers import cnf_strategy, condition, cyclic_components, random_formula, split_components
 
 # Seven clauses over a,b,c,d,x1,x2 = 1..6: the encoded overlapping
 # disjunction used throughout the suite.
@@ -208,6 +208,28 @@ class TestDetect:
             projected = models.project(tuple(rest))
             # each model restriction extends in at most one way
             assert projected.count() == models.count()
+
+
+def _as_sorted(sccs):
+    return sorted(sorted(scc) for scc in sccs)
+
+
+class TestCyclicVars:
+    def test_matches_mutual_reachability(self):
+        rng = random.Random(5)
+        for _ in range(1000):
+            nodes = rng.sample(range(1, 60), rng.randint(1, 30))
+            density = rng.random() * 3 / len(nodes)  # self-loops included
+            deps = {v: {w for w in nodes if rng.random() < density} for v in nodes}
+            assert _as_sorted(_cyclic_vars(deps)) == _as_sorted(cyclic_components(deps))
+
+    @pytest.mark.parametrize("closed", [True, False], ids=["cycle", "open_chain"])
+    def test_long_chain(self, closed):
+        # 20,000 nodes in a row: far deeper than Python's recursion limit.
+        n = 20_000
+        deps = {v: {v + 1} for v in range(1, n)}
+        deps[n] = {1} if closed else set()
+        assert _as_sorted(_cyclic_vars(deps)) == ([list(range(1, n + 1))] if closed else [])
 
 
 def test_tvars_sidecar_roundtrip():

@@ -19,10 +19,10 @@ from ddnnf import (
     size,
     write_nnf,
 )
+from ddnnf.circuit import NnfFormatError
 from ddnnf.compiler import (
     CompileBudgetError,
     CompileConfig,
-    NnfFormatError,
     _occurrences,
     _propagate,
     compile,
@@ -119,6 +119,8 @@ class TestCompile:
             compile(cnf, CompileConfig(order=[1, 1]))
         with pytest.raises(ValueError):
             compile(cnf, CompileConfig(order=[99]))
+        with pytest.raises(ValueError, match="^unknown branch order 'bogus'$"):
+            compile(cnf, CompileConfig(order="bogus"))
 
     def test_free_variables_tracked_by_universe(self):
         cnf = CnfInstance.from_raw(4, [[1]])
@@ -325,6 +327,13 @@ class TestParseC2d:
             # directive tokens are arguments too
             ("nnf 1 0 2\nc universe 1 x\nL 1", "line 2: non-integer argument"),
             ("nnf 1 0 2\nL 1\nc tseitin 2 y", "line 3: non-integer argument"),
+            # an OR's decision field is 0 or a universe variable
+            ("nnf 3 2 2\nL 1\nL 2\nO 7 2 0 1", "line 4: decision variable 7 out of range"),
+            ("nnf 3 2 1\nL 1\nL -1\nO -5 2 0 1", "line 4: decision variable -5 out of range"),
+            ("nnf 3 2 3\nc universe 1 3\nL 1\nL -1\nO 2 2 0 1",
+             "line 5: decision variable 2 out of range"),
+            ("c only a comment\n", "missing 'nnf' header"),
+            ("nnf 0 0 0\n", "no nodes"),
         ],
     )
     def test_error_message_pinned(self, text, message):
@@ -384,6 +393,10 @@ class TestParseD4:
         text = "1 o 0\n2 o 0\n1 2 1 0\n2 1 -1 0"
         with pytest.raises(NnfFormatError):
             parse_nnf(text, format="d4")
+
+    def test_no_nodes(self):
+        with pytest.raises(NnfFormatError, match="^no nodes$"):
+            parse_nnf("c only a comment\n", format="d4")
 
     def test_missing_terminator(self):
         with pytest.raises(NnfFormatError):

@@ -7,7 +7,7 @@ import pytest
 
 from ddnnf import parse_dimacs, parse_nnf, parse_tvars
 from ddnnf.cnf import DimacsError
-from ddnnf.compiler import NnfFormatError
+from ddnnf.circuit import NnfFormatError
 
 from test_cnf import OVERLAP_DIMACS
 
