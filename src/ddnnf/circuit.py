@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .errors import ToolkitError
 
-TRUE, FALSE, LIT, AND, OR = "T", "F", "L", "A", "O"
+LIT, AND, OR = "L", "A", "O"  # the c2d node tags
 
 
 class NnfFormatError(ToolkitError):
@@ -102,12 +102,9 @@ class Node(NamedTuple):
         return frozenset(variables(self.mask))
 
 
-_TRUE_KEY, _FALSE_KEY = (TRUE,), (FALSE,)
-_TRUE_NODE, _FALSE_NODE = Node(TRUE), Node(FALSE)
-
-
 class Circuit:
-    """Single-rooted DAG of AND/OR/literal/constant nodes.
+    """Single-rooted DAG of AND/OR/literal nodes. True is the AND of nothing
+    and false the OR of nothing.
 
     Nodes live in an arena in topological order (children precede parents)
     and are structurally deduplicated: adding an AND/OR with the same child
@@ -141,21 +138,13 @@ class Circuit:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _append(self, key: tuple, node: Node) -> int:
-        nid = len(self._nodes)
-        self._nodes.append(node)
-        self._dedup[key] = nid
-        return nid
-
     # Every lookup comes before any Node is built: most calls find the node.
 
     def add_true(self) -> int:
-        nid = self._dedup.get(_TRUE_KEY)
-        return self._append(_TRUE_KEY, _TRUE_NODE) if nid is None else nid
+        return self.add_and(())
 
     def add_false(self) -> int:
-        nid = self._dedup.get(_FALSE_KEY)
-        return self._append(_FALSE_KEY, _FALSE_NODE) if nid is None else nid
+        return self.add_or(())
 
     def add_literal(self, lit: int) -> int:
         key = (LIT, lit)
@@ -167,24 +156,26 @@ class Circuit:
         universe = self.universe_mask
         if lit == 0 or var >= universe.bit_length() or not universe & (mask := 1 << var):
             raise ValueError(f"literal {lit} outside universe")
-        return self._append(key, Node(LIT, lit=lit, mask=mask))
+        nid = len(self._nodes)
+        self._nodes.append(Node(LIT, lit=lit, mask=mask))
+        self._dedup[key] = nid
+        return nid
 
     def _add_internal(self, kind: str, children, decision: int = 0) -> int:
         kids = tuple(sorted(children))
-        if not kids:
-            raise ValueError(f"{kind} node needs children")
         key = (kind, kids)
         nid = self._dedup.get(key)
         if nid is not None:
             return nid
         nodes = self._nodes
         nid = len(nodes)
-        if kids[0] < 0 or kids[-1] >= nid:
+        if kids and (kids[0] < 0 or kids[-1] >= nid):
             bad = next(c for c in kids if not 0 <= c < nid)
             raise ValueError(f"unknown child id {bad}")
         masks = [nodes[c].mask for c in kids]
-        mask = reduce(or_, masks)
-        nodes.append(Node(kind, 0, kids, decision, mask))
+        mask = reduce(or_, masks, 0)
+        # A decision picks one child, so the OR of nothing (false) has none.
+        nodes.append(Node(kind, 0, kids, decision if kids else 0, mask))
         self._dedup[key] = nid
         # The masks of pairwise disjoint children add up to their union.
         if kind == AND and sum(masks) != mask:
@@ -237,7 +228,7 @@ class Circuit:
 
 def size(circuit: Circuit) -> int:
     """Number of binary operations: an internal node with k inputs counts
-    as k - 1. Literals and constants count as zero."""
+    as k - 1. Literals, true and false count as zero."""
     return sum(len(node.children) - 1 for node in map(circuit.node, circuit.reachable())
                if node.children)
 
@@ -267,7 +258,7 @@ def check_decomposable(circuit: Circuit) -> tuple[bool, int | None]:
 # Text formats: c2d written and read, d4 read
 
 # Node lines follow the c2d conventions: `L <lit>`, `A <c> <ids...>`,
-# `O <j> <c> <ids...>` with `A 0` for true and `O 0 0` for false; an OR's
+# `O <j> <c> <ids...>`, so true is `A 0` and false `O 0 0`; an OR's
 # decision field j is 0 or a universe variable. Nodes are 0-indexed in
 # topological order and the last node is the root. Universe and
 # designated-variable information that the header cannot carry is written as
@@ -289,18 +280,12 @@ def write_nnf(circuit: Circuit) -> str:
         lines.append("c tseitin " + " ".join(map(str, variables(gates))))
     for nid in reach:
         node = circuit.node(nid)
-        if node.kind == TRUE:
-            lines.append("A 0")
-        elif node.kind == FALSE:
-            lines.append("O 0 0")
-        elif node.kind == LIT:
+        if node.kind == LIT:
             lines.append(f"L {node.lit}")
-        elif node.kind == AND:
-            ids = " ".join(str(position[c]) for c in node.children)
-            lines.append(f"A {len(node.children)} {ids}")
         else:
-            ids = " ".join(str(position[c]) for c in node.children)
-            lines.append(f"O {node.decision} {len(node.children)} {ids}")
+            tag = "A" if node.kind == AND else f"O {node.decision}"
+            ids = (str(position[c]) for c in node.children)
+            lines.append(" ".join([tag, str(len(node.children)), *ids]))
     return "\n".join(lines) + "\n"
 
 
@@ -366,7 +351,7 @@ def _parse_c2d(text: str) -> Circuit:
 
     if header is None:
         raise NnfFormatError("missing 'nnf' header")
-    num_nodes, _, num_vars = header
+    num_nodes, num_edges, num_vars = header
     if universe is not None and any(v < 1 or v > num_vars for v in universe):
         raise NnfFormatError("universe directive outside header variable range")
     try:
@@ -380,9 +365,10 @@ def _parse_c2d(text: str) -> Circuit:
 
     ids: list[int] = []
     universe_mask = circuit.universe_mask
+    edges = 0
 
     def child_ids(lineno: int, refs: list[int]) -> list[int]:
-        if min(refs) < 0 or max(refs) >= len(ids):
+        if refs and (min(refs) < 0 or max(refs) >= len(ids)):
             bad = next(i for i in refs if not 0 <= i < len(ids))
             raise NnfFormatError(f"line {lineno}: dangling node reference {bad}")
         return [ids[i] for i in refs]
@@ -406,22 +392,20 @@ def _parse_c2d(text: str) -> Circuit:
         elif tag == "A":
             if not args or args[0] != len(args) - 1:
                 raise NnfFormatError(f"line {lineno}: AND child count mismatch")
-            if args[0] == 0:
-                ids.append(circuit.add_true())
-            else:
-                ids.append(circuit.add_and(child_ids(lineno, args[1:])))
+            edges += args[0]
+            ids.append(circuit.add_and(child_ids(lineno, args[1:])))
         elif tag == "O":
             if len(args) < 2 or args[1] != len(args) - 2:
                 raise NnfFormatError(f"line {lineno}: OR child count mismatch")
             if args[0] and not (args[0] > 0 and universe_mask >> args[0] & 1):
                 raise NnfFormatError(f"line {lineno}: decision variable {args[0]} out of range")
-            if args[1] == 0:
-                ids.append(circuit.add_false())
-            else:
-                ids.append(circuit.add_or(child_ids(lineno, args[2:]), decision=args[0]))
+            edges += args[1]
+            ids.append(circuit.add_or(child_ids(lineno, args[2:]), decision=args[0]))
         else:
             raise NnfFormatError(f"line {lineno}: unknown node tag {tag!r}")
 
+    if num_edges != edges:
+        warnings.warn(f"header declares {num_edges} edges, found {edges}", stacklevel=3)
     circuit.set_root(ids[-1])
     return circuit
 
@@ -466,6 +450,8 @@ def _parse_d4(text: str) -> Circuit:
                 raise NnfFormatError(f"line {lineno}: edge references undeclared node")
             if 0 in lits:
                 raise NnfFormatError(f"line {lineno}: literal 0 in edge guard")
+            if kinds[src] in "tf":
+                raise NnfFormatError(f"line {lineno}: edge leaves leaf node {src}")
             edges[src].append((dst, lits))
     if first_node is None:
         raise NnfFormatError("no nodes")
@@ -484,21 +470,15 @@ def _parse_d4(text: str) -> Circuit:
             raise NnfFormatError(f"cyclic reference through node {nid}")
         in_progress.add(nid)
         kind = kinds[nid]
-        if kind == "t":
-            result = circuit.add_true()
-        elif kind == "f":
-            result = circuit.add_false()
-        elif kind == "o":
-            if not edges[nid]:
-                raise NnfFormatError(f"node {nid} has no outgoing edges")
+        if kind in "oa" and not edges[nid]:
+            raise NnfFormatError(f"node {nid} has no outgoing edges")
+        if kind in "of":  # f has no edges: the OR of nothing
             parts = []
             for dst, lits in edges[nid]:
                 conj = [circuit.add_literal(l) for l in lits] + [(yield build(dst))]
                 parts.append(conj[0] if len(conj) == 1 else circuit.add_and(conj))
             result = circuit.add_or(parts)
-        else:
-            if not edges[nid]:
-                raise NnfFormatError(f"node {nid} has no outgoing edges")
+        else:  # t has no edges: the AND of nothing
             flat: list[int] = []
             for dst, lits in edges[nid]:
                 flat.extend(circuit.add_literal(l) for l in lits)

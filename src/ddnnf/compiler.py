@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from sys import maxsize
 
-from .circuit import AND, FALSE, TRUE, Circuit, _run, range_mask
+from .circuit import AND, OR, Circuit, _run, range_mask
 from .cnf import Clause, CnfInstance
 from .errors import ToolkitError
 
@@ -67,21 +67,22 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
             return max(occ, key=lambda v: (len(occ[v]), -v))
         return min(occ)
 
+    def is_false(nid: int) -> bool:  # the OR of nothing
+        node = circuit.node(nid)
+        return node.kind == OR and not node.children
+
     def mk_and(parts: list[int]) -> int:
+        # Flattens AND parts, true (the AND of nothing) among them.
         merged: dict[int, None] = {}
         for p in parts:
             node = circuit.node(p)
-            if node.kind == FALSE:
-                return circuit.add_false()
-            if node.kind == TRUE:
-                continue
             if node.kind == AND:
                 for c in node.children:
                     merged.setdefault(c)
+            elif node.kind == OR and not node.children:
+                return p  # false
             else:
                 merged.setdefault(p)
-        if not merged:
-            return circuit.add_true()
         if len(merged) == 1:
             return next(iter(merged))
         return circuit.add_and(merged)
@@ -99,15 +100,13 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
         hi = yield hi_task
         lo = yield lo_task
         children = []
-        if circuit.node(hi).kind != FALSE:
+        if not is_false(hi):
             children.append(mk_and([circuit.add_literal(v), hi]))
-        if circuit.node(lo).kind != FALSE:
+        if not is_false(lo):
             children.append(mk_and([circuit.add_literal(-v), lo]))
-        if not children:
-            return circuit.add_false()
         if len(children) == 1:
             return children[0]
-        return circuit.add_or(children, decision=v)
+        return circuit.add_or(children, decision=v)  # false when empty
 
     def rec(split: _Split | None):
         if split is None:

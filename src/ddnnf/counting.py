@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 
-from .circuit import AND, LIT, OR, TRUE, Circuit, check_decomposable, mask_of, variables
+from .circuit import AND, OR, Circuit, check_decomposable, mask_of, variables
 from .errors import ToolkitError
 
 class NonDecomposableError(ToolkitError):
@@ -127,7 +127,8 @@ def _common_denominator(weights: WeightMap) -> int | None:
 
 def _weighted_fold(circuit: Circuit, weights: WeightMap, gap_factor) -> dict[int, object]:
     """The weighted count of every reachable node, over the variables that
-    node mentions: the one bottom-up pass behind every count."""
+    node mentions: the one bottom-up pass behind every count. True and false
+    are the empty product 1 and the empty sum 0."""
     node_of, weight = circuit.node, weights.weight
     values: dict[int, object] = {}
     value = values.__getitem__
@@ -138,10 +139,8 @@ def _weighted_fold(circuit: Circuit, weights: WeightMap, gap_factor) -> dict[int
             values[nid] = math.prod(map(value, children))
         elif kind == OR:
             values[nid] = sum(value(c) * gap_factor(mask ^ node_of(c).mask) for c in children)
-        elif kind == LIT:
-            values[nid] = weight(lit)
         else:
-            values[nid] = 1 if kind == TRUE else 0
+            values[nid] = weight(lit)
     return values
 
 

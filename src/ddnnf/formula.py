@@ -395,9 +395,10 @@ def tseitin_transform(f: Formula) -> TseitinOutput:
     clauses: list[tuple[int, ...]] = []
     tseitin: list[int] = []
     # The gate cache: NNF nodes are interned by structure into ids, from the
-    # literal code of a literal, the name of a constant and (is_and, child
-    # ids) of a gate, and ``value[id]`` is the literal or constant the node
-    # encodes to. Equal subformulas therefore share a gate.
+    # literal code of a literal and (is_and, child ids) of a gate, and
+    # ``value[id]`` is the literal or constant the node encodes to (a gate
+    # whose body simplifies away is a constant). Equal subformulas therefore
+    # share a gate.
     ids: dict[object, int] = {}
     value: list[int | Const] = []
 
@@ -435,8 +436,6 @@ def tseitin_transform(f: Formula) -> TseitinOutput:
             key: object = index[g.name]
         elif isinstance(g, Not):
             key = -value[kids[0]]
-        elif isinstance(g, Const):
-            key = "true" if g.value else "false"
         else:
             key = (isinstance(g, And), *kids)
         i = ids.get(key)
@@ -454,7 +453,7 @@ def tseitin_transform(f: Formula) -> TseitinOutput:
                 tseitin.append(v)
                 emit_gate(v, body, is_and)
         else:
-            v = g if isinstance(g, Const) else key
+            v = key
         ids[key] = len(value)
         value.append(v)
         return ids[key]

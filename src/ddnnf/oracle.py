@@ -14,7 +14,7 @@ from functools import reduce
 from operator import and_, or_
 
 from . import formula as fm
-from .circuit import AND, LIT, OR, TRUE, Circuit, mask_of, variables as mask_variables
+from .circuit import AND, LIT, OR, Circuit, mask_of, variables as mask_variables
 from .cnf import CnfInstance
 from .errors import OracleBoundError
 
@@ -151,7 +151,7 @@ class CircuitTables:
         tables, circuit = self.tables, self.circuit
         for nid in circuit.reachable():
             kids = [tables[c] for c in circuit.node(nid).children]
-            if circuit.node(nid).kind == OR and sum(kids) != reduce(or_, kids):
+            if circuit.node(nid).kind == OR and sum(kids) != reduce(or_, kids, 0):
                 return False
         return True
 
@@ -177,7 +177,7 @@ def _truth_tables(circuit: Circuit, order) -> tuple[dict[int, int], int]:
             m = masks[abs(node.lit)]
             tables[nid] = m if node.lit > 0 else full ^ m
         else:
-            tables[nid] = reduce(and_, ts, full) if node.kind in (TRUE, AND) else reduce(or_, ts, 0)
+            tables[nid] = reduce(and_, ts, full) if node.kind == AND else reduce(or_, ts, 0)
     return tables, full
 
 

@@ -12,9 +12,8 @@ them with true before quantifying.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partialmethod
 
-from .circuit import AND, FALSE, LIT, OR, TRUE, Circuit, mask_within, reached_from, size
+from .circuit import AND, LIT, OR, Circuit, mask_within, reached_from, size
 from .counting import annotate_counts
 from .errors import ToolkitError
 
@@ -29,8 +28,8 @@ class PruneReport:
 
     ``size_after_exists`` is quantification alone; ``size_after_artifacts``
     additionally replaces detected tautological subcircuits. Artifact roots
-    that are bare literals or constants are tallied as degenerate, separate
-    from internal (AND/OR) roots.
+    without children (bare literals and true) are tallied as degenerate,
+    separate from internal roots.
     """
 
     size_before: int
@@ -119,8 +118,8 @@ def prune(circuit: Circuit, verify: bool = False) -> tuple[Circuit, PruneReport]
 
     roots = detect_artifacts(circuit)
     # A degenerate root (a gate-variable literal or true) becomes true under
-    # quantification anyway, so only AND/OR roots can change the rebuild.
-    internal = frozenset(nid for nid in roots if circuit.node(nid).kind in (AND, OR))
+    # quantification anyway, so only roots with children can change the rebuild.
+    internal = frozenset(nid for nid in roots if circuit.node(nid).children)
     pruned = _rebuild(circuit, xs, internal)
     size_after_artifacts = size(pruned)
     if internal:
@@ -146,8 +145,8 @@ def prune(circuit: Circuit, verify: bool = False) -> tuple[Circuit, PruneReport]
 
 def _assert_no_residual_artifacts(pruned: Circuit) -> None:
     # The pruned circuit has no gate variables, so a flagged node is a
-    # tautology; true is the one that may stay.
-    residual = [nid for nid in artifact_flags(pruned) if pruned.node(nid).kind != TRUE]
+    # tautology; true, the one without children, may stay.
+    residual = [nid for nid in artifact_flags(pruned) if pruned.node(nid).children]
     if residual:
         raise PruneVerificationError(f"node {min(residual)} is still a tautology after pruning")
 
@@ -162,12 +161,14 @@ def _rebuild(circuit: Circuit, xs: int, replace_true: frozenset[int]) -> Circuit
 def _quantify(circuit: Circuit, xs: int, replace_true: frozenset[int], out) -> int:
     """Add to ``out`` the image of every node reachable from the root, and
     return the root's image. The literals of the mask ``xs``'s variables and
-    the nodes of ``replace_true`` become true; then constants propagate: a
-    false child makes an AND false and a true child makes an OR true, other
-    constant children are dropped, and a node left with one child is that child.
+    the nodes of ``replace_true`` become true, the AND of nothing; then
+    constants propagate: a false child makes an AND false and a true child
+    makes an OR true, other constant children are dropped, and a node left
+    with one child is that child.
 
     ``out`` is a ``Circuit`` or a ``_SizeSink``; both deduplicate alike, so
-    they receive the same nodes in the same order.
+    they receive the same nodes in the same order. A constant is added when
+    first needed.
     """
     mapping: dict[int, int] = {}
     image = mapping.__getitem__
@@ -175,10 +176,8 @@ def _quantify(circuit: Circuit, xs: int, replace_true: frozenset[int], out) -> i
     for nid in circuit.reachable():
         node = circuit.node(nid)
         kind = node.kind
-        if nid in replace_true or kind == TRUE or (kind == LIT and xs & node.mask):
-            result = TRUE
-        elif kind == FALSE:
-            result = FALSE
+        if nid in replace_true or (kind == LIT and xs & node.mask):
+            kind, kept = AND, ()
         elif kind == LIT:
             mapping[nid] = out.add_literal(node.lit)
             continue
@@ -187,27 +186,20 @@ def _quantify(circuit: Circuit, xs: int, replace_true: frozenset[int], out) -> i
             kept = dict.fromkeys(map(image, node.children))
             kept.pop(unit, None)
             if zero in kept:
-                result = FALSE if kind == AND else TRUE
-            elif len(kept) > 1:
-                if kind == AND:
-                    mapping[nid] = out.add_and(kept)
-                else:
-                    decision = 0 if node.decision > 0 and xs >> node.decision & 1 else node.decision
-                    mapping[nid] = out.add_or(kept, decision=decision)
+                mapping[nid] = zero
                 continue
-            elif kept:
-                mapping[nid] = next(iter(kept))
-                continue
-            else:
-                result = TRUE if kind == AND else FALSE
-        if result == TRUE:
-            if true < 0:
-                true = out.add_true()
-            mapping[nid] = true
+        if len(kept) == 1:
+            mapping[nid] = next(iter(kept))
+        elif kind == AND:
+            mapping[nid] = out.add_and(kept)
         else:
-            if false < 0:
-                false = out.add_false()
-            mapping[nid] = false
+            decision = 0 if node.decision > 0 and xs >> node.decision & 1 else node.decision
+            mapping[nid] = out.add_or(kept, decision=decision)
+        if not kept:
+            if kind == AND:
+                true = mapping[nid]
+            else:
+                false = mapping[nid]
     return mapping[circuit.root]
 
 
@@ -227,8 +219,6 @@ class _SizeSink:
             self._children.append(kids)
         return nid
 
-    add_true = partialmethod(_add, TRUE)
-    add_false = partialmethod(_add, FALSE)
     add_literal = _add
 
     def add_and(self, children, kind: str = AND) -> int:

@@ -60,6 +60,10 @@ class TestNoisyOrGenerator:
     def test_deterministic(self):
         assert gen_noisy_or(4) == gen_noisy_or(4)
 
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            gen_noisy_or(0)
+
 
 class TestMutexGenerator:
     def test_single_node_two_parents_has_four_cases(self):
@@ -93,6 +97,10 @@ class TestMutexGenerator:
     def test_parent_bounds(self):
         with pytest.raises(ValueError):
             gen_mutex_cpt(2, 4, seed=0)
+
+    def test_rejects_zero_nodes(self):
+        with pytest.raises(ValueError):
+            gen_mutex_cpt(0, 2, seed=0)
 
 
 class TestRunBench:

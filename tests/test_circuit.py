@@ -6,6 +6,7 @@ from ddnnf import (
     Circuit,
     check_decomposable,
     check_deterministic_oracle,
+    model_count,
     parse_dimacs,
     parse_nnf,
     size,
@@ -37,6 +38,15 @@ class TestArena:
         c = Circuit({1})
         assert c.add_true() == c.add_true()
         assert c.add_false() == c.add_false()
+
+    def test_constants_are_empty_gates(self):
+        # True is the AND of nothing, false the OR of nothing; a decision
+        # picks one child, so false keeps none.
+        c = Circuit({1})
+        assert c.add_and([]) == c.add_true()
+        assert c.add_or([], decision=1) == c.add_false()
+        assert c.node(c.add_false()).decision == 0
+        assert len(c) == 2
 
     def test_literal_outside_universe(self):
         c = Circuit({1})
@@ -165,6 +175,21 @@ class TestSerialization:
     def test_size_invariant_under_reserialization(self):
         circuit = compile(parse_dimacs(OVERLAP_DIMACS))
         assert size(parse_nnf(write_nnf(circuit))) == size(circuit)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Circuit({1}).add_and([5]), "unknown child id 5"),
+        (lambda: Circuit({1}).set_root(9), "unknown node id 9"),
+        (lambda: write_nnf(Circuit({1})), "circuit has no root"),
+        (lambda: model_count(Circuit({1})), "circuit has no root"),
+    ],
+    ids=["add_and", "set_root", "write_nnf", "model_count"],
+)
+def test_refusal_message_pinned(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_stats_line():

@@ -437,12 +437,15 @@ AND_C2D = "nnf 3 2 2\nL 1\nL 2\nA 2 0 1\n"
          "warning: header declares 3 clauses, found 1\n"),
         ({"f.nnf": "nnf 5 2 2\nL 1\nL 2\nA 2 0 1\n"}, ["count", "f.nnf"], 0,
          "warning: header declares 5 nodes, found 3\n"),
+        ({"f.nnf": "nnf 3 99 2\nL 1\nL 2\nA 2 0 1\n"}, ["count", "f.nnf"], 0,
+         "warning: header declares 99 edges, found 2\n"),
         ({"f.nnf": AND_C2D, "t.tvars": "t 2\n2\n"}, ["prune", "f.nnf", "--tvars", "t.tvars"], 0,
          "warning: tvars header declares 2, found 1\n"),
         ({"f.nnf": AND_C2D, "t.tvars": "t 1\n9\n"}, ["prune", "f.nnf", "--tvars", "t.tvars"], 1,
          "error: tvars sidecar lists variables outside the circuit universe\n"),
     ],
-    ids=["dimacs_clause_count", "c2d_node_count", "tvars_count", "tvars_outside_universe"],
+    ids=["dimacs_clause_count", "c2d_node_count", "c2d_edge_count", "tvars_count",
+         "tvars_outside_universe"],
 )
 def test_stderr_is_one_line(tmp_path, capsys, monkeypatch, files, argv, code, err):
     for name, text in files.items():

@@ -61,6 +61,10 @@ class TestParseDimacs:
         with pytest.raises(DimacsError):
             parse_dimacs("1 2 0")
 
+    def test_comment_only_file(self):
+        with pytest.raises(DimacsError, match="^missing 'p cnf' header$"):
+            parse_dimacs("c only\n")
+
     def test_literal_out_of_range(self):
         with pytest.raises(DimacsError):
             parse_dimacs("p cnf 2 1\n3 0")
@@ -86,6 +90,11 @@ def test_normalize_clause():
     assert normalize_clause([1, -1]) is None
     with pytest.raises(ValueError):
         normalize_clause([0])
+
+
+def test_negative_num_vars_refused():
+    with pytest.raises(ValueError, match="^num_vars must be nonnegative$"):
+        CnfInstance(-1, ())
 
 
 def test_instance_validation():

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 import tracemalloc
+import warnings
 import weakref
 
 import pytest
@@ -16,6 +17,7 @@ from ddnnf import (
     model_count,
     parse_dimacs,
     parse_nnf,
+    prune,
     size,
     write_nnf,
 )
@@ -43,11 +45,13 @@ class TestCompile:
 
     def test_conflict_becomes_false(self):
         circuit = compile(CnfInstance.from_raw(1, [[1], [-1]]))
-        assert circuit.node(circuit.root).kind == "F"
+        root = circuit.node(circuit.root)
+        assert (root.kind, root.children) == ("O", ())  # false: the OR of nothing
 
     def test_empty_cnf_becomes_true(self):
         circuit = compile(CnfInstance.from_raw(3, []))
-        assert circuit.node(circuit.root).kind == "T"
+        root = circuit.node(circuit.root)
+        assert (root.kind, root.children) == ("A", ())  # true: the AND of nothing
         assert model_count(circuit) == 8
 
     def test_gate_subcircuit_under_first_branch(self):
@@ -266,8 +270,9 @@ class TestParseC2d:
         assert circuit.universe == {1, 2}
 
     def test_constants(self):
-        assert parse_nnf("nnf 1 0 0\nA 0").node(0).kind == "T"
-        assert parse_nnf("nnf 1 0 0\nO 0 0").node(0).kind == "F"
+        true, false = parse_nnf("nnf 1 0 0\nA 0").node(0), parse_nnf("nnf 1 0 0\nO 0 0").node(0)
+        assert (true.kind, true.children) == ("A", ())
+        assert (false.kind, false.children) == ("O", ())
 
     def test_decision_variable_preserved(self):
         text = "nnf 3 2 1\nL 1\nL -1\nO 1 2 0 1"
@@ -346,6 +351,25 @@ class TestParseC2d:
         assert record[0].filename == __file__
         assert size(circuit) == 1
 
+    def test_edge_count_mismatch_warning_pinned(self):
+        with pytest.warns(UserWarning, match="^header declares 99 edges, found 2$") as record:
+            circuit = parse_nnf("nnf 3 99 2\nL 1\nL 2\nA 2 0 1")
+        assert record[0].filename == __file__
+        assert write_nnf(circuit).startswith("nnf 3 2 2\n")
+
+    def test_written_files_parse_without_warning(self):
+        circuit = compile(tseitin_transform(gen_noisy_or(4)).cnf)
+        for pruned in (circuit, prune(circuit)[0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                parse_nnf(write_nnf(pruned))
+
+    def test_empty_or_reads_as_false(self):
+        # An OR of nothing has no child to decide on: its field is dropped.
+        circuit = parse_nnf("nnf 1 0 5\nO 5 0")
+        assert model_count(circuit) == 0
+        assert write_nnf(circuit) == "nnf 1 0 5\nO 0 0\n"
+
 
 class TestParseD4:
     def test_or_with_guarded_edge(self):
@@ -355,8 +379,8 @@ class TestParseD4:
         assert len(root.children) == 1
         child = circuit.node(root.children[0])
         assert child.kind == "A"
-        kinds = {circuit.node(c).kind for c in child.children}
-        assert kinds == {"L", "T"}
+        kinds = {(circuit.node(c).kind, circuit.node(c).children) for c in child.children}
+        assert kinds == {("L", ()), ("A", ())}
         assert circuit.universe == {1, 2, 3}
 
     def test_d4_native_token_order(self):
@@ -407,6 +431,18 @@ class TestParseD4:
     )
     def test_literal_zero_in_edge_guard(self, text, line):
         with pytest.raises(NnfFormatError, match=f"^line {line}: literal 0 in edge guard$"):
+            parse_nnf(text, format="d4")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 t 0\n2 f 0\n1 2 0", "line 3: edge leaves leaf node 1"),
+            ("1 a 0\n2 t 0\n3 f 0\n1 2 1 0\n2 3 0", "line 5: edge leaves leaf node 2"),
+        ],
+        ids=["from_root", "below_and"],
+    )
+    def test_edge_from_leaf_refused(self, text, message):
+        with pytest.raises(NnfFormatError, match=f"^{message}$"):
             parse_nnf(text, format="d4")
 
     def test_unknown_format(self):

@@ -56,7 +56,8 @@ class TestExistsQuantify:
         c = Circuit({1}, tseitin_vars={1})
         c.set_root(c.add_literal(1))
         out = exists_quantify(c, {1})
-        assert out.node(out.root).kind == "T"
+        root = out.node(out.root)
+        assert (root.kind, root.children) == ("A", ())
         assert out.universe == frozenset()
 
     def test_and_with_quantified_literal(self):
@@ -70,7 +71,8 @@ class TestExistsQuantify:
         c = Circuit({1, 2})
         c.set_root(c.add_or([c.add_literal(1), c.add_literal(2)]))
         out = exists_quantify(c, {1})
-        assert out.node(out.root).kind == "T"
+        root = out.node(out.root)
+        assert (root.kind, root.children) == ("A", ())
 
     def test_count_unchanged_on_encoded_overlap(self):
         circuit = _overlap_circuit()
@@ -115,6 +117,9 @@ class TestDetect:
         # x2 literals) must not be reported as roots
         c = _gate_circuit()
         assert detect_artifacts(c) == {c.root}
+
+    def test_rootless_circuit_has_no_roots(self):
+        assert detect_artifacts(Circuit({1}, tseitin_vars={1})) == set()
 
     def test_flags_match_tautology_oracle(self):
         rng = random.Random(13)
