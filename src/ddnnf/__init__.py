@@ -52,11 +52,10 @@ from .formula import (
     vars_of,
 )
 from .oracle import (
+    CircuitTables,
     ModelSet,
-    check_deterministic_oracle,
     check_exists_equiv,
     enumerate_models,
-    is_tautology_after_exists,
 )
 from .pruning import (
     PruneReport,
@@ -64,6 +63,7 @@ from .pruning import (
     detect_artifacts,
     exists_quantify,
     prune,
+    residual_artifacts,
 )
 
 __version__ = "0.1.0"

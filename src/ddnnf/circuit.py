@@ -140,12 +140,6 @@ class Circuit:
 
     # Every lookup comes before any Node is built: most calls find the node.
 
-    def add_true(self) -> int:
-        return self.add_and(())
-
-    def add_false(self) -> int:
-        return self.add_or(())
-
     def add_literal(self, lit: int) -> int:
         key = (LIT, lit)
         nid = self._dedup.get(key)
@@ -475,14 +469,17 @@ def _parse_d4(text: str) -> Circuit:
         if kind in "of":  # f has no edges: the OR of nothing
             parts = []
             for dst, lits in edges[nid]:
-                conj = [circuit.add_literal(l) for l in lits] + [(yield build(dst))]
+                conj = [circuit.add_literal(l) for l in lits]
+                if kinds[dst] != "t":  # an edge into true is its guards alone
+                    conj.append((yield build(dst)))
                 parts.append(conj[0] if len(conj) == 1 else circuit.add_and(conj))
             result = circuit.add_or(parts)
         else:  # t has no edges: the AND of nothing
             flat: list[int] = []
             for dst, lits in edges[nid]:
                 flat.extend(circuit.add_literal(l) for l in lits)
-                flat.append((yield build(dst)))
+                if kinds[dst] != "t":  # true adds nothing to an AND
+                    flat.append((yield build(dst)))
             result = flat[0] if len(flat) == 1 else circuit.add_and(flat)
         in_progress.discard(nid)
         built[nid] = result

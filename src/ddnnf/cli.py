@@ -37,7 +37,7 @@ from .counting import WeightMap, model_count, weighted_model_count
 from .errors import OracleBoundError, ToolkitError
 from .formula import ParseError
 from .oracle import CircuitTables, check_exists_equiv, enumerate_models
-from .pruning import artifact_flags, exists_quantify, prune
+from .pruning import artifact_flags, exists_quantify, prune, residual_artifacts
 
 
 def main(argv=None) -> int:
@@ -323,7 +323,7 @@ def _verify_cnf(cnf: CnfInstance, cfg: CompileConfig, reference=None, names=None
 def _verify_circuit(tables: CircuitTables, reference=None, names=None) -> list[tuple[str, bool]]:
     circuit = tables.circuit
     flags = artifact_flags(circuit)
-    pruned, report = prune(circuit, verify=True)
+    pruned, report = prune(circuit)
     pruned_tables = CircuitTables(pruned)
     results = [
         ("decomposable", check_decomposable(circuit)[0]),
@@ -334,6 +334,7 @@ def _verify_circuit(tables: CircuitTables, reference=None, names=None) -> list[t
         ("count preserved by pruning", model_count(pruned) == model_count(circuit)),
         ("pruned circuit decomposable", check_decomposable(pruned)[0]),
         ("pruned circuit deterministic (brute force)", pruned_tables.deterministic()),
+        ("no tautology left after pruning", not residual_artifacts(pruned)),
         ("sizes monotone",
          report.size_after_artifacts <= report.size_after_exists <= report.size_before),
     ]

@@ -110,7 +110,7 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
 
     def rec(split: _Split | None):
         if split is None:
-            return circuit.add_false()
+            return circuit.add_or(())  # false
         units, components = split
         parts = [circuit.add_literal(l) for l in units]
         for comp in components:

@@ -369,7 +369,6 @@ class TseitinOutput:
     cnf: CnfInstance
     var_map: dict[str, int]
     tseitin_vars: frozenset[int]
-    original_vars: frozenset[int]
 
     def names(self) -> dict[int, str]:
         """Inverse of var_map (index -> variable name)."""
@@ -509,7 +508,7 @@ def tseitin_transform(f: Formula) -> TseitinOutput:
             raise TypeError(f"unexpected node after NNF: {g!r}")
 
     cnf = CnfInstance.from_raw(len(names) + len(tseitin), clauses, tseitin_vars=tseitin)
-    return TseitinOutput(cnf, index, frozenset(tseitin), frozenset(index.values()))
+    return TseitinOutput(cnf, index, frozenset(tseitin))
 
 
 # ---------------------------------------------------------------------------

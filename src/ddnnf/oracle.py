@@ -14,17 +14,14 @@ from functools import reduce
 from operator import and_, or_
 
 from . import formula as fm
-from .circuit import AND, LIT, OR, Circuit, mask_of, variables as mask_variables
+from .circuit import AND, LIT, OR, Circuit, variables as mask_variables
 from .cnf import CnfInstance
 from .errors import OracleBoundError
 
-DEFAULT_MAX_VARS = 20
-ORACLE_ENV = "DDNNF_ORACLE_MAX_VARS"
 
-
-def oracle_bound(default: int = DEFAULT_MAX_VARS) -> int:
-    raw = os.environ.get(ORACLE_ENV)
-    return int(raw) if raw else default
+def oracle_bound() -> int:
+    raw = os.environ.get("DDNNF_ORACLE_MAX_VARS")
+    return int(raw) if raw else 20
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,10 @@ def _formula_table(f: fm.Formula, masks: dict, full: int) -> int:
 class CircuitTables:
     """The truth table of every reachable node of a circuit, built once over
     the variables the root mentions (``order``, ascending), which no other
-    reachable node exceeds. The bound applies to the whole universe."""
+    reachable node exceeds. The bound applies to the whole universe.
+    Every brute-force question about a circuit is asked of one instance:
+    its models (``enumerate_models``), ``deterministic`` and
+    ``tautology_after_exists``."""
 
     def __init__(self, circuit: Circuit):
         if circuit.root is None:
@@ -220,25 +220,6 @@ def circuit_truth_tables(circuit: Circuit) -> tuple[dict[int, int], int]:
     if circuit.root is None:
         raise ValueError("circuit has no root")
     return _truth_tables(circuit, tuple(mask_variables(circuit.universe_mask)))
-
-
-def check_deterministic_oracle(circuit: Circuit) -> bool:
-    """Brute-force determinism check: no two children of any OR share a
-    model. Only usable on universes within ``oracle_bound()``."""
-    if circuit.root is None:
-        _check_bound(circuit.universe_mask.bit_count())
-        return True
-    return CircuitTables(circuit).deterministic()
-
-
-def is_tautology_after_exists(circuit: Circuit, variables, node: int | None = None) -> bool:
-    """Ground truth for artifact detection: is the subcircuit rooted at
-    ``node`` (default: the root) a tautology over the non-quantified
-    variables it mentions, once ``variables`` (a set or its mask) are
-    existentially quantified?"""
-    xs = variables if isinstance(variables, int) else mask_of(variables)
-    nid = circuit.root if node is None else node
-    return CircuitTables(circuit).tautology_after_exists(xs, nid)
 
 
 def check_exists_equiv(source, variables, reference: fm.Formula, names=None) -> bool:

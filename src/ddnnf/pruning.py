@@ -99,7 +99,7 @@ def detect_artifacts(circuit: Circuit) -> set[int]:
     return flagged & below
 
 
-def prune(circuit: Circuit, verify: bool = False) -> tuple[Circuit, PruneReport]:
+def prune(circuit: Circuit) -> tuple[Circuit, PruneReport]:
     """Full pipeline: detect artifact roots, replace them with true, forget
     the gate variables, and propagate. Returns the pruned circuit and a size
     report; the input circuit is left untouched, and is itself returned when
@@ -107,9 +107,6 @@ def prune(circuit: Circuit, verify: bool = False) -> tuple[Circuit, PruneReport]
 
     Only the pruned circuit is built: the size after quantification alone
     comes from a walk that records no more than each node's children.
-
-    With ``verify`` a re-detection pass asserts that no tautological
-    subcircuit survived pruning.
     """
     before = size(circuit)
     xs = circuit.tseitin_mask
@@ -138,17 +135,15 @@ def prune(circuit: Circuit, verify: bool = False) -> tuple[Circuit, PruneReport]
     )
     if not report.size_after_artifacts <= report.size_after_exists <= before:
         raise PruneVerificationError(f"size regression: {report.summary()}")
-    if verify:
-        _assert_no_residual_artifacts(pruned)
     return pruned, report
 
 
-def _assert_no_residual_artifacts(pruned: Circuit) -> None:
-    # The pruned circuit has no gate variables, so a flagged node is a
-    # tautology; true, the one without children, may stay.
-    residual = [nid for nid in artifact_flags(pruned) if pruned.node(nid).children]
-    if residual:
-        raise PruneVerificationError(f"node {min(residual)} is still a tautology after pruning")
+def residual_artifacts(pruned: Circuit) -> list[int]:
+    """The tautologies ``prune`` left behind, ascending: a pruned circuit has
+    no gate variables, so every flagged node is one; true, the one without
+    children, may stay. Nonempty when the input broke a precondition of
+    pruning, such as a gate variable the other variables do not define."""
+    return sorted(nid for nid in artifact_flags(pruned) if pruned.node(nid).children)
 
 
 def _rebuild(circuit: Circuit, xs: int, replace_true: frozenset[int]) -> Circuit:

@@ -13,13 +13,13 @@ import pytest
 
 from ddnnf import (
     Circuit,
+    CircuitTables,
     CnfInstance,
     CompileConfig,
     Formula,
     PruneReport,
     WeightMap,
     check_decomposable,
-    check_deterministic_oracle,
     compile_cnf,
     detect_tseitin_vars,
     model_count,
@@ -32,8 +32,8 @@ from ddnnf import (
     write_nnf,
 )
 from ddnnf.bench import gen_mutex_cpt, gen_noisy_or, gen_overlapping_disjunction, run_bench
-from ddnnf.oracle import check_exists_equiv, enumerate_models, is_tautology_after_exists
-from ddnnf.pruning import artifact_flags, exists_quantify, prune
+from ddnnf.oracle import check_exists_equiv, enumerate_models
+from ddnnf.pruning import artifact_flags, exists_quantify, prune, residual_artifacts
 
 from helpers import random_cnf
 
@@ -73,7 +73,8 @@ def _configs():
 
 def _build_record(name, cnf, cfg, source=None, names=None) -> PipelineRecord:
     circuit = compile_cnf(cnf, cfg)
-    pruned, report = prune(circuit, verify=True)
+    pruned, report = prune(circuit)
+    assert residual_artifacts(pruned) == [], name
     exists_only = (
         exists_quantify(circuit, circuit.tseitin_vars)
         if circuit.tseitin_vars
@@ -127,14 +128,15 @@ def test_criterion_1_worked_example():
     x1 = sorted(out.tseitin_vars)[0]
     started = time.perf_counter()
     circuit = compile_cnf(out.cnf, CompileConfig(order=[x1]))
-    pruned, report = prune(circuit, verify=True)
+    pruned, report = prune(circuit)
+    assert residual_artifacts(pruned) == []
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     assert report.artifacts_internal >= 1
     oracle_count = enumerate_models(f).count()
     assert oracle_count == 7
     assert model_count(pruned) == oracle_count
-    assert pruned.universe == out.original_vars
+    assert pruned.universe == set(out.var_map.values())
     assert report.size_after_artifacts < report.size_after_exists < report.size_before
     print(
         f"\nPASS criterion 1: sizes {report.size_before} -> "
@@ -150,9 +152,10 @@ def test_criterion_2_artifact_flag_iff_oracle(corpus):
     nodes_checked = 0
     for record in corpus:
         flags = artifact_flags(record.circuit)
-        xs = record.circuit.tseitin_vars
+        tables = CircuitTables(record.circuit)
+        xs = record.circuit.tseitin_mask
         for nid in record.circuit.reachable():
-            expected = is_tautology_after_exists(record.circuit, xs, nid)
+            expected = tables.tautology_after_exists(xs, nid)
             assert (nid in flags) == expected, (
                 f"{record.name}: node {nid} flag {nid in flags} vs oracle {expected}"
             )
@@ -275,7 +278,7 @@ def test_criterion_7_structural_preservation(corpus):
     for record in corpus:
         assert check_decomposable(record.pruned)[0], record.name
         if len(record.pruned.universe) <= 16:
-            assert check_deterministic_oracle(record.pruned), record.name
+            assert CircuitTables(record.pruned).deterministic(), record.name
             checked_det += 1
     assert checked_det == len(corpus)
     print(

@@ -4,8 +4,8 @@ import pytest
 
 from ddnnf import (
     Circuit,
+    CircuitTables,
     check_decomposable,
-    check_deterministic_oracle,
     model_count,
     parse_dimacs,
     parse_nnf,
@@ -36,16 +36,16 @@ class TestArena:
 
     def test_constants_are_singletons(self):
         c = Circuit({1})
-        assert c.add_true() == c.add_true()
-        assert c.add_false() == c.add_false()
+        assert c.add_and(()) == c.add_and(())
+        assert c.add_or(()) == c.add_or(())
 
     def test_constants_are_empty_gates(self):
         # True is the AND of nothing, false the OR of nothing; a decision
         # picks one child, so false keeps none.
         c = Circuit({1})
-        assert c.add_and([]) == c.add_true()
-        assert c.add_or([], decision=1) == c.add_false()
-        assert c.node(c.add_false()).decision == 0
+        assert c.add_and([]) == c.add_and(())
+        assert c.add_or([], decision=1) == c.add_or(())
+        assert c.node(c.add_or(())).decision == 0
         assert len(c) == 2
 
     def test_literal_outside_universe(self):
@@ -134,25 +134,25 @@ class TestChecks:
         c = Circuit({1, 2})
         branch = c.add_and([c.add_literal(-1), c.add_literal(2)])
         c.set_root(c.add_or([c.add_literal(1), branch]))
-        assert check_deterministic_oracle(c)
+        assert CircuitTables(c).deterministic()
 
         c2 = Circuit({1, 2})
         c2.set_root(c2.add_or([c2.add_literal(1), c2.add_literal(2)]))
-        assert not check_deterministic_oracle(c2)
+        assert not CircuitTables(c2).deterministic()
 
     def test_oracle_bound(self, monkeypatch):
         c = Circuit(range(1, 30))
-        c.set_root(c.add_true())
+        c.set_root(c.add_and(()))
         with pytest.raises(OracleBoundError):
-            check_deterministic_oracle(c)
+            CircuitTables(c)
         monkeypatch.setenv("DDNNF_ORACLE_MAX_VARS", "30")
-        assert check_deterministic_oracle(c)
+        assert CircuitTables(c).deterministic()
 
 
 class TestSerialization:
     def test_true_circuit_format(self):
         c = Circuit({1, 2, 3, 4})
-        c.set_root(c.add_true())
+        c.set_root(c.add_and(()))
         assert write_nnf(c) == "nnf 1 0 4\nA 0\n"
 
     def test_and_roundtrip(self):

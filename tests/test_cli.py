@@ -316,10 +316,23 @@ class TestBigCounts:
 
 class TestVerify:
     def test_formula_input(self, workspace, capsys):
-        code, out, _ = _run(capsys, "verify", str(workspace / "f.bool"))
+        code, out, err = _run(capsys, "verify", str(workspace / "f.bool"))
         assert code == 0
         assert "FAIL" not in out
         assert "ok model bijection (formula vs encoded CNF)" in out
+        assert "ok no tautology left after pruning" in out
+        assert len(out.splitlines()) == 12 and err == ""
+
+    def test_residual_tautology_is_a_fail_line(self, tmp_path, capsys):
+        # Gate 2 is not defined by variable 1: (x1 & x2) | -x1 prunes to
+        # x1 | -x1, a tautology no artifact flag found.
+        path = tmp_path / "r.nnf"
+        path.write_text("nnf 5 4 2\nc tseitin 2\nL 1\nL 2\nA 2 0 1\nL -1\nO 1 2 2 3\n")
+        code, out, err = _run(capsys, "verify", str(path))
+        assert code == 1
+        assert "FAIL no tautology left after pruning" in out
+        assert len(out.splitlines()) == 8
+        assert err == ""
 
     def test_cnf_input(self, workspace, capsys):
         _run(capsys, "tseitin", str(workspace / "f.bool"))

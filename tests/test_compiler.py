@@ -10,15 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddnnf import (
+    CircuitTables,
     CnfInstance,
     tseitin_transform,
     check_decomposable,
-    check_deterministic_oracle,
     model_count,
     parse_dimacs,
     parse_nnf,
     prune,
     size,
+    stats_line,
     write_nnf,
 )
 from ddnnf.circuit import NnfFormatError
@@ -32,6 +33,7 @@ from ddnnf.compiler import (
 )
 from ddnnf.bench import gen_mutex_cpt, gen_noisy_or, gen_overlapping_disjunction
 from ddnnf.oracle import circuit_truth_tables, enumerate_models
+from ddnnf.pruning import exists_quantify
 
 from helpers import cnf_strategy, condition, random_cnf, split_components
 from test_cnf import OVERLAP_DIMACS
@@ -101,7 +103,7 @@ class TestCompile:
     @settings(max_examples=60, deadline=None)
     def test_deterministic_by_construction(self, cnf):
         circuit = compile(cnf, CompileConfig(order="dynamic"))
-        assert check_deterministic_oracle(circuit)
+        assert CircuitTables(circuit).deterministic()
 
     def test_cache_only_changes_sharing(self):
         rng = random.Random(9)
@@ -373,15 +375,26 @@ class TestParseC2d:
 
 class TestParseD4:
     def test_or_with_guarded_edge(self):
+        # An edge into true is its guard alone.
         circuit = parse_nnf("1 o 0\n2 t 0\n1 2 3 0", format="d4")
         root = circuit.node(circuit.root)
         assert root.kind == "O"
         assert len(root.children) == 1
-        child = circuit.node(root.children[0])
-        assert child.kind == "A"
-        kinds = {(circuit.node(c).kind, circuit.node(c).children) for c in child.children}
-        assert kinds == {("L", ()), ("A", ())}
+        assert circuit.node(root.children[0])[:2] == ("L", 3)
         assert circuit.universe == {1, 2, 3}
+
+    @pytest.mark.parametrize(
+        "text, stats",
+        [
+            ("1 o 0\n2 t 0\n1 2 -1 0\n1 2 1 0", "size=1 nodes=3 edges=2 vars=1 tseitin=0"),
+            ("1 a 0\n2 t 0\n1 2 1 0\n1 2 2 0", "size=1 nodes=3 edges=2 vars=2 tseitin=0"),
+        ],
+        ids=["or", "and"],
+    )
+    def test_edges_into_true_add_no_and(self, text, stats):
+        circuit = parse_nnf(text, format="d4")
+        assert stats_line(circuit) == stats
+        assert write_nnf(exists_quantify(circuit, set())) == write_nnf(circuit)
 
     def test_d4_native_token_order(self):
         # real d4 output puts the type letter first

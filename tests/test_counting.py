@@ -58,18 +58,18 @@ class TestModelCount:
 
     def test_true_circuit(self):
         c = Circuit(range(1, 6))
-        c.set_root(c.add_true())
+        c.set_root(c.add_and(()))
         assert model_count(c) == 32
 
     def test_empty_universe(self):
         c = Circuit(())
-        c.set_root(c.add_true())
+        c.set_root(c.add_and(()))
         assert repr(model_count(c)) == "1"
         assert repr(weighted_model_count(c, WeightMap(default=0.5))) == "1"
 
     def test_false_circuit(self):
         c = Circuit(range(1, 4))
-        c.set_root(c.add_false())
+        c.set_root(c.add_or(()))
         assert model_count(c) == 0
 
     def test_non_decomposable_rejected(self):
@@ -179,7 +179,7 @@ class TestWeighted:
 
     def test_false_is_zero(self):
         c = Circuit({1})
-        c.set_root(c.add_false())
+        c.set_root(c.add_or(()))
         assert weighted_model_count(c, WeightMap()) == 0.0
 
     def test_all_ones_equals_model_count_int_path(self):

@@ -245,7 +245,7 @@ class TestTseitin:
         assert out.cnf.num_vars == 6
         assert len(out.cnf.clauses) == 7
         assert out.tseitin_vars == {5, 6}
-        assert out.original_vars == {1, 2, 3, 4}
+        assert set(out.var_map.values()) == {1, 2, 3, 4}
         assert out.var_map == {"a": 1, "b": 2, "c": 3, "d": 4}
 
     def test_single_literal(self):
@@ -280,8 +280,9 @@ class TestTseitin:
 
     def test_invariants(self):
         out = tseitin_transform(parse_formula("(a & b) | (c & d)"))
-        assert not out.tseitin_vars & out.original_vars
-        assert out.tseitin_vars | out.original_vars == set(
+        originals = set(out.var_map.values())
+        assert not out.tseitin_vars & originals
+        assert out.tseitin_vars | originals == set(
             range(1, out.cnf.num_vars + 1)
         )
 

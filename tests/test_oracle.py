@@ -15,13 +15,13 @@ from ddnnf import (
     parse_formula,
     tseitin_transform,
 )
+from ddnnf.circuit import mask_of
 from ddnnf.errors import OracleBoundError
 from ddnnf.oracle import (
+    CircuitTables,
     ModelSet,
-    check_deterministic_oracle,
     check_exists_equiv,
     enumerate_models,
-    is_tautology_after_exists,
     oracle_bound,
 )
 
@@ -45,7 +45,7 @@ class TestEnumerate:
 
     def test_false_circuit(self):
         c = Circuit({1, 2})
-        c.set_root(c.add_false())
+        c.set_root(c.add_or(()))
         assert enumerate_models(c).count() == 0
 
     def test_encoded_cnf_models(self):
@@ -109,6 +109,10 @@ class TestExistsEquiv:
         assert not check_exists_equiv(out, out.tseitin_vars, parse_formula("a & z"))
 
 
+def _tautology_at_root(c: Circuit, variables) -> bool:
+    return CircuitTables(c).tautology_after_exists(mask_of(variables), c.root)
+
+
 class TestTautologyAfterExists:
     def test_gate_equivalence(self):
         # x2 <=> (c & d), quantifying x2
@@ -117,26 +121,27 @@ class TestTautologyAfterExists:
         not_c = c.add_and([c.add_literal(-6), c.add_literal(-3)])
         not_d = c.add_and([c.add_literal(-6), c.add_literal(3), c.add_literal(-4)])
         c.set_root(c.add_or([both, not_c, not_d]))
-        assert is_tautology_after_exists(c, {6})
-        assert not is_tautology_after_exists(c, frozenset())
+        assert _tautology_at_root(c, {6})
+        assert not _tautology_at_root(c, ())
 
     def test_conjunction_is_not(self):
         c = Circuit({1, 2})
         c.set_root(c.add_and([c.add_literal(1), c.add_literal(2)]))
-        assert not is_tautology_after_exists(c, frozenset())
+        assert not _tautology_at_root(c, ())
 
     def test_excluded_middle_is(self):
         c = Circuit({1})
         c.set_root(c.add_or([c.add_literal(1), c.add_literal(-1)]))
-        assert is_tautology_after_exists(c, frozenset())
+        assert _tautology_at_root(c, ())
 
     def test_subcircuit_node_argument(self):
         c = Circuit({1, 2}, tseitin_vars={1})
         lit = c.add_literal(1)
         root = c.add_and([lit, c.add_literal(2)])
         c.set_root(root)
-        assert is_tautology_after_exists(c, {1}, node=lit)
-        assert not is_tautology_after_exists(c, {1}, node=root)
+        tables = CircuitTables(c)
+        assert tables.tautology_after_exists(c.tseitin_mask, lit)
+        assert not tables.tautology_after_exists(c.tseitin_mask, root)
 
 
 def _shared_formula(rng: random.Random, num_vars: int, depth: int, pool: list):
@@ -170,7 +175,7 @@ def _sparse_circuit(rng: random.Random) -> Circuit:
     c = Circuit(universe, tseitin_vars=gates)
     mentioned = rng.sample(universe, rng.randint(1, len(universe)))
     nodes = [c.add_literal(v if rng.random() < 0.5 else -v) for v in mentioned]
-    nodes += [c.add_true(), c.add_false()][: rng.randrange(3)]
+    nodes += [c.add_and(()), c.add_or(())][: rng.randrange(3)]
     for _ in range(rng.randint(0, 8)):
         kids = rng.sample(nodes, rng.randint(1, min(3, len(nodes))))
         nodes.append(c.add_and(kids) if rng.random() < 0.5 else c.add_or(kids))
@@ -216,8 +221,9 @@ class TestAgainstPerAssignment:
             rows = circuit_rows(c)
             ms = enumerate_models(c)
             assert (ms.universe, ms.models) == circuit_models(c)
-            assert check_deterministic_oracle(c) == circuit_deterministic(c, rows)
+            tables = CircuitTables(c)
+            assert tables.deterministic() == circuit_deterministic(c, rows)
             xs = set(rng.sample(sorted(c.universe), min(2, len(c.universe)))) | c.tseitin_vars
             for nid in c.reachable():
-                assert is_tautology_after_exists(c, xs, nid) == tautology_after_exists(
+                assert tables.tautology_after_exists(mask_of(xs), nid) == tautology_after_exists(
                     c, rows, xs, nid), (nid, xs)

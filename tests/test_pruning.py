@@ -5,9 +5,9 @@ import pytest
 
 from ddnnf import (
     Circuit,
+    CircuitTables,
     CompileConfig,
     check_decomposable,
-    check_deterministic_oracle,
     compile_cnf,
     detect_tseitin_vars,
     model_count,
@@ -19,17 +19,13 @@ from ddnnf import (
     write_nnf,
 )
 from ddnnf.bench import gen_mutex_cpt
-from ddnnf.oracle import (
-    check_exists_equiv,
-    enumerate_models,
-    is_tautology_after_exists,
-)
+from ddnnf.oracle import check_exists_equiv, enumerate_models
 from ddnnf.pruning import (
-    PruneVerificationError,
     artifact_flags,
     detect_artifacts,
     exists_quantify,
     prune,
+    residual_artifacts,
 )
 
 from helpers import random_cnf, random_formula
@@ -128,17 +124,16 @@ class TestDetect:
             out = tseitin_transform(f)
             circuit = compile_cnf(out.cnf, CompileConfig(order="dynamic"))
             flags = artifact_flags(circuit)
+            tables = CircuitTables(circuit)
             for nid in circuit.reachable():
-                expected = is_tautology_after_exists(
-                    circuit, circuit.tseitin_vars, nid
-                )
+                expected = tables.tautology_after_exists(circuit.tseitin_mask, nid)
                 assert (nid in flags) == expected
 
 
 class TestPrune:
     def test_worked_example(self):
         circuit = _overlap_circuit()
-        pruned, report = prune(circuit, verify=True)
+        pruned, report = prune(circuit)
         assert report.artifacts_internal >= 1
         assert model_count(pruned) == 7
         assert pruned.universe == {1, 2, 3, 4}
@@ -191,9 +186,10 @@ class TestPrune:
             f = random_formula(rng, max_vars=4, depth=3)
             out = tseitin_transform(f)
             circuit = compile_cnf(out.cnf, CompileConfig(order="dynamic"))
-            pruned, report = prune(circuit, verify=True)
+            pruned, report = prune(circuit)
+            assert residual_artifacts(pruned) == []
             assert check_decomposable(pruned)[0]
-            assert check_deterministic_oracle(pruned)
+            assert CircuitTables(pruned).deterministic()
             assert report.size_after_artifacts <= report.size_after_exists
             assert report.size_after_exists <= report.size_before
 
@@ -214,7 +210,8 @@ class TestPrune:
             cnf = random_cnf(rng, max_vars=8, max_clauses=16, gate_prob=0.8)
             cnf = replace(cnf, tseitin_vars=detect_tseitin_vars(cnf))
             circuit = compile_cnf(cnf, CompileConfig(order="dynamic"))
-            pruned, _ = prune(circuit, verify=True)
+            pruned, _ = prune(circuit)
+            assert residual_artifacts(pruned) == []
             expected = enumerate_models(cnf).project(
                 tuple(v for v in range(1, cnf.num_vars + 1) if v not in cnf.tseitin_vars)
             )
@@ -222,8 +219,7 @@ class TestPrune:
             assert got.models == expected.models
 
     def test_verify_mode_accepts_clean_pipeline(self):
-        circuit = _overlap_circuit()
-        prune(circuit, verify=True)
+        assert residual_artifacts(prune(_overlap_circuit())[0]) == []
 
     def test_monotone_size_across_orders(self):
         for order in ([5], [6], [1, 2, 3, 4, 5, 6], [4, 2, 6]):
@@ -238,20 +234,21 @@ class TestPrune:
 
 def test_verify_refuses_residual_tautology():
     # Variable 2 is declared a gate but a does not define it. (a & g) | !a
-    # has 3 models, so no node is flagged, yet forgetting g leaves a | !a.
-    # Message recorded from the check's own per-node loop.
+    # has 3 models, so no node is flagged, yet forgetting g leaves a | !a,
+    # node 3 of the pruned circuit.
     c = Circuit({1, 2}, tseitin_vars={2})
     a_g = c.add_and([c.add_literal(1), c.add_literal(2)])
     c.set_root(c.add_or([a_g, c.add_literal(-1)], decision=1))
-    with pytest.raises(PruneVerificationError, match="^node 3 is still a tautology after pruning$"):
-        prune(c, verify=True)
-    assert prune(c)[1].artifacts_internal == 0
+    pruned, report = prune(c)
+    assert residual_artifacts(pruned) == [3]
+    assert report.artifacts_internal == 0
 
 
 def test_prop1_iff_on_hand_built_artifact():
     c = _gate_circuit()
-    assert is_tautology_after_exists(c, {6})
-    assert not is_tautology_after_exists(c, frozenset())
+    tables = CircuitTables(c)
+    assert tables.tautology_after_exists(c.tseitin_mask, c.root)
+    assert not tables.tautology_after_exists(0, c.root)
 
 
 # x5 <=> (x1 & x2) under x3, with x5 designated. The artifact root (node 10)
