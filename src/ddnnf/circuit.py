@@ -36,9 +36,24 @@ def _run(task: Generator):
     return result
 
 
+# A mask of at most this many set bits is read one top bit at a time, a
+# shift and a subtraction each; past a few dozen bits, one string of all
+# its binary digits is cheaper.
+_FEW_BITS = 32
+
+
 def variables(mask: int):
-    """The variables set in ``mask``, ascending: one string of binary digits,
-    searched for each set bit, so the work follows the bits that are set."""
+    """The variables set in ``mask``, ascending. Few are read off the top of
+    the mask, more from one string of binary digits searched for each set
+    bit: the work follows the bits that are set, and a mask of few bits
+    builds no string of all its digits."""
+    if (count := mask.bit_count()) <= _FEW_BITS:
+        top = [mask.bit_length() - 1]  # -1 for no bits, dropped below
+        for _ in range(1, count):
+            mask -= 1 << top[-1]
+            top.append(mask.bit_length() - 1)
+        yield from reversed(top[:count])
+        return
     digits = bin(mask)[:1:-1]  # digit v is bit v
     v = digits.find("1")
     while v >= 0:
@@ -58,13 +73,16 @@ def reached_from(root: int, children, stop=frozenset()) -> set[int]:
 
 
 def mask_of(variables) -> int:
-    """The bitmask with bit v set for each variable v. It is read from one
-    string of binary digits: ``mask |= 1 << v`` would copy the whole mask
-    per variable, which is quadratic in the highest variable."""
-    variables = tuple(variables)
+    """The bitmask with bit v set for each variable v. Many variables are
+    read from one string of binary digits: ``mask |= 1 << v`` copies the
+    whole mask per variable, which is quadratic in the highest variable,
+    but for few variables it is the cheaper way."""
+    variables = set(variables)
     if min(variables, default=0) < 0:
         raise ValueError("negative variable")
-    digits = bytearray(b"0") * (max(variables, default=0) + 1)
+    if len(variables) <= _FEW_BITS:  # ascending: only the last OR is wide
+        return reduce(or_, [1 << v for v in sorted(variables)], 0)
+    digits = bytearray(b"0") * (max(variables) + 1)
     for v in variables:
         digits[v] = 49  # b"1"
     digits.reverse()
@@ -126,7 +144,8 @@ class Circuit:
         # node(nid) is the Node with that id: the list's own lookup, the
         # cheapest call, since every pass over the circuit makes it per node.
         self.node = self._nodes.__getitem__
-        self._dedup: dict[tuple, int] = {}
+        # A literal node is keyed by its literal, an AND/OR by (kind, children).
+        self._dedup: dict[int | tuple, int] = {}
         # ANDs whose children share a variable, ascending: check_decomposable
         # looks only at these.
         self._overlapping_ands: list[int] = []
@@ -141,8 +160,7 @@ class Circuit:
     # Every lookup comes before any Node is built: most calls find the node.
 
     def add_literal(self, lit: int) -> int:
-        key = (LIT, lit)
-        nid = self._dedup.get(key)
+        nid = self._dedup.get(lit)
         if nid is not None:
             return nid
         # Shifting the universe instead would copy it once per literal.
@@ -152,7 +170,7 @@ class Circuit:
             raise ValueError(f"literal {lit} outside universe")
         nid = len(self._nodes)
         self._nodes.append(Node(LIT, lit=lit, mask=mask))
-        self._dedup[key] = nid
+        self._dedup[lit] = nid
         return nid
 
     def _add_internal(self, kind: str, children, decision: int = 0) -> int:

@@ -4,16 +4,17 @@ component decomposition, and component caching."""
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain
 from sys import maxsize
 
 from .circuit import AND, OR, Circuit, _run, range_mask
 from .cnf import Clause, CnfInstance
 from .errors import ToolkitError
 
-ComponentKey = tuple[Clause, ...]
+ComponentKey = frozenset[Clause]
 
 
 class CompileBudgetError(ToolkitError):
@@ -37,9 +38,9 @@ class CompileConfig:
 
 
 def component_key(clauses) -> ComponentKey:
-    """Canonical form of a clause set, the sorted tuple of its distinct
-    clauses; equal keys iff equal sets."""
-    return tuple(sorted(set(clauses)))
+    """Canonical form of a clause set, the set of its distinct clauses; equal
+    keys iff equal sets."""
+    return frozenset(clauses)
 
 
 def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
@@ -50,83 +51,98 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
     components and propagated unit literals, so it is decomposable. Variables
     in no clause stay out of the circuit and are handled by counting via the
     declared universe. The search runs on an explicit stack, so its depth is
-    not bounded by Python's recursion limit.
+    not bounded by Python's recursion limit, and every branch works on one
+    shared search state, undone when the branch returns.
     """
     cfg = config or CompileConfig()
     explicit = _explicit_order(cfg, cnf.num_vars)
     rank = None if explicit is None else {v: i for i, v in enumerate(explicit)}
     circuit = Circuit(universe=range_mask(cnf.num_vars), tseitin_vars=cnf.tseitin_vars)
-    cache: dict[ComponentKey, int] | None = {} if cfg.cache_enabled else None
+    search = _Search(cnf)
+    residual = search.residual
+    # Key hash -> (the key as a tuple, node id); a colliding key takes the
+    # next free hash. Kept frozensets would nearly triple a compile's memory.
+    cache: dict[int, tuple[tuple[Clause, ...], int]] | None = {} if cfg.cache_enabled else None
     decisions = 0
 
-    def pick_var(occ: dict[int, list[int]]) -> int:
+    def pick_var(low: int, comp: list[int]) -> int:
+        if rank is None and cfg.order != "dynamic":
+            return low
+        variables = map(abs, chain.from_iterable(map(residual.__getitem__, comp)))
         if rank is not None:
-            ranked = [v for v in occ if v in rank]
-            return min(ranked, key=rank.__getitem__) if ranked else min(occ)
-        if cfg.order == "dynamic":
-            return max(occ, key=lambda v: (len(occ[v]), -v))
-        return min(occ)
+            ranked = [v for v in set(variables) if v in rank]
+            return min(ranked, key=rank.__getitem__) if ranked else low
+        occ = Counter(variables)
+        return max(occ, key=lambda v: (occ[v], -v))
 
     def is_false(nid: int) -> bool:  # the OR of nothing
         node = circuit.node(nid)
         return node.kind == OR and not node.children
 
-    def mk_and(parts: list[int]) -> int:
-        # Flattens AND parts, true (the AND of nothing) among them.
-        merged: dict[int, None] = {}
+    def mk_and(literals, parts: list[int]) -> int:
+        # The AND of the literal ids and the parts, AND parts flattened.
+        merged = set(literals)
         for p in parts:
             node = circuit.node(p)
             if node.kind == AND:
-                for c in node.children:
-                    merged.setdefault(c)
+                merged.update(node.children)
             elif node.kind == OR and not node.children:
                 return p  # false
             else:
-                merged.setdefault(p)
+                merged.add(p)
         if len(merged) == 1:
             return next(iter(merged))
         return circuit.add_and(merged)
 
-    def branch(clauses: tuple[Clause, ...]):
+    def branch(low: int, comp: list[int]):
         nonlocal decisions
         decisions += 1
         if cfg.max_decisions is not None and decisions > cfg.max_decisions:
             raise CompileBudgetError(f"decision budget {cfg.max_decisions} exceeded")
-        occ = _occurrences(clauses)
-        v = pick_var(occ)
-        hi_task = rec(_propagate(clauses, occ, v))
-        lo_task = rec(_propagate(clauses, occ, -v))
-        del occ  # a deep stack keeps only the pending residual clauses alive
-        hi = yield hi_task
-        lo = yield lo_task
+        v = pick_var(low, comp)
+        mark = search.mark()
+        hi = yield rec(search.propagate(v, comp))
+        search.undo(mark)
+        lo = yield rec(search.propagate(-v, comp))
+        search.undo(mark)
         children = []
         if not is_false(hi):
-            children.append(mk_and([circuit.add_literal(v), hi]))
+            children.append(mk_and((circuit.add_literal(v),), [hi]))
         if not is_false(lo):
-            children.append(mk_and([circuit.add_literal(-v), lo]))
+            children.append(mk_and((circuit.add_literal(-v),), [lo]))
         if len(children) == 1:
             return children[0]
         return circuit.add_or(children, decision=v)  # false when empty
 
-    def rec(split: _Split | None):
+    def rec(split: tuple[list[int], list[tuple[int, list[int]]]] | None):
         if split is None:
             return circuit.add_or(())  # false
         units, components = split
-        parts = [circuit.add_literal(l) for l in units]
-        for comp in components:
+        literals = list(map(circuit.add_literal, units))
+        parts = []
+        for low, comp in components:
             if cache is None:
-                nid = yield branch(comp)
+                parts.append((yield branch(low, comp)))
+                continue
+            key = component_key(map(residual.__getitem__, comp))
+            h = hash(key)
+            while (entry := cache.get(h)) and not (
+                len(entry[0]) == len(key) and key.issuperset(entry[0])
+            ):
+                h += 1
+            if entry:
+                nid = entry[1]
             else:
-                key = component_key(comp)
-                nid = cache.get(key)
-                if nid is None:
-                    nid = cache[key] = yield branch(comp)
+                key = tuple(key)  # held down the subtree, the set would cost thrice
+                nid = yield branch(low, comp)
+                while h in cache:  # the subtree may have taken slot h
+                    h += 1
+                cache[h] = (key, nid)
             parts.append(nid)
-        return mk_and(parts)
+        return mk_and(literals, parts)
 
-    root_split = _propagate(cnf.clauses, _occurrences(cnf.clauses), 0)
     try:
-        circuit.set_root(_run(rec(root_split)))
+        circuit.set_root(_run(rec(search.propagate(0, range(len(cnf.clauses))))))
     finally:
         # branch and rec refer to each other; breaking that cycle frees the
         # cache and the circuit now, not when the cycle collector next runs.
@@ -152,102 +168,136 @@ def _explicit_order(cfg: CompileConfig, num_vars: int) -> tuple[int, ...] | None
     raise ValueError(f"unknown branch order {cfg.order!r}")
 
 
-# Propagated unit literals, and the residual components in branching order.
-_Split = tuple[list[int], list[tuple[Clause, ...]]]
+class _Search:
+    """The search state one compile shares across all its branches. Built
+    once: the input clauses and, for each literal, the positions of the
+    clauses holding it, one entry per occurrence. Per clause, changed only
+    through the trail: the count of its literals not yet falsified, whether
+    it is satisfied, and its residual clause (its literals not falsified, in
+    place). ``undo`` restores the state of a ``mark``."""
 
-# Clause states in _propagate besides open (0): satisfied, and open but
-# already placed in a component.
-_SATISFIED, _PLACED = 1, 2
+    def __init__(self, cnf: CnfInstance):
+        self.clauses = clauses = cnf.clauses
+        # true[l] is set iff literal l holds; indexed by l itself, -v is entry 2n + 1 - v.
+        self.true = bytearray(2 * cnf.num_vars + 1)
+        self.occ: list[list[int]] = [[] for _ in self.true]
+        for i, c in enumerate(clauses):
+            for l in c:
+                self.occ[l].append(i)
+        self.count = list(map(len, clauses))
+        self.satisfied = bytearray(len(clauses))
+        self.residual = list(clauses)
+        # The trail, three stacks: each propagation's literal and units; the
+        # clauses changed, i for a count decremented and ~i for a clause
+        # satisfied; the residual clauses replaced, with their positions.
+        self.assigned: list[tuple[int, list[int]]] = []
+        self.changed: list[int] = []
+        self.replaced: list[tuple[int, Clause]] = []
 
+    def mark(self) -> tuple[int, int, int]:
+        return len(self.assigned), len(self.changed), len(self.replaced)
 
-def _occurrences(clauses: tuple[Clause, ...]) -> dict[int, list[int]]:
-    """Variable -> positions of the clauses mentioning it, one entry per
-    literal occurrence (so a clause repeating a literal is listed twice)."""
-    occ: dict[int, list[int]] = defaultdict(list)
-    for i, c in enumerate(clauses):
-        for l in c:
-            occ[abs(l)].append(i)
-    return occ
+    def undo(self, mark: tuple[int, int, int]) -> None:
+        assigned, changed, replaced = mark
+        true, count, satisfied, residual = self.true, self.count, self.satisfied, self.residual
+        for lit, units in self.assigned[assigned:]:
+            true[lit] = 0
+            for u in units:
+                true[u] = 0
+        del self.assigned[assigned:]
+        for i in self.changed[changed:]:
+            if i < 0:
+                satisfied[~i] = 0
+            else:
+                count[i] += 1
+        del self.changed[changed:]
+        for i, c in reversed(self.replaced[replaced:]):
+            residual[i] = c
+        del self.replaced[replaced:]
 
+    def propagate(self, lit: int, positions):
+        """Assign ``lit``, unit-propagate to a fixpoint and split the open
+        clauses among ``positions`` into variable-disjoint components; None
+        on a conflict. ``lit`` 0 starts from the unit and empty clauses among
+        ``positions``, which otherwise hold none, as after any propagation.
 
-def _propagate(clauses: tuple[Clause, ...], occ: dict[int, list[int]], lit: int) -> _Split | None:
-    """Condition ``clauses`` on ``lit`` (0: on nothing), unit-propagate to a
-    fixpoint and split the residual clauses into variable-disjoint
-    components. Returns None on a conflict.
-
-    The result is what conditioning the clause tuple on one unit at a time
-    gives, taking the first unit clause in clause order each time: a heap of
-    clause positions yields the units in that order, and each clause keeps
-    a count of its literals not yet falsified. Each component lists its
-    residual clauses in input order, literals in place; the components are
-    sorted by their smallest variable. ``lit`` is not among the units.
-    """
-    m = len(clauses)
-    state = bytearray(m)
-    remaining = list(map(len, clauses))
-    true: set[int] = set()
-    units: list[int] = []
-
-    def assign(u: int) -> bool:
-        true.add(u)
-        for i in occ[abs(u)]:
-            if state[i]:
-                continue
-            if u in clauses[i]:
-                state[i] = _SATISFIED
-                continue
-            remaining[i] -= 1
-            if remaining[i] == 1:
-                heappush(heap, i)
-            elif not remaining[i]:
-                return False
-        return True
-
-    if 0 in remaining:
-        return None
-    heap = [i for i, n in enumerate(remaining) if n == 1]  # ascending: a heap
-    if lit and not assign(lit):
-        return None
-    while heap:
-        i = heappop(heap)
-        if state[i]:
-            continue
-        for u in clauses[i]:
-            if -u not in true:
-                break
-        units.append(u)
-        if not assign(u):
+        The units (``lit`` not among them) come as conditioning on the first
+        unit clause in clause order, one at a time, gives them: a heap of
+        clause positions yields them in that order. A component is its
+        smallest variable and the ascending list of its clause positions,
+        their residual clauses brought up to date, in the order of those
+        variables."""
+        clauses, occ, true, count, satisfied, residual = (
+            self.clauses, self.occ, self.true, self.count, self.satisfied, self.residual)
+        changed = self.changed.append
+        units: list[int] = []
+        self.assigned.append((lit, units))  # true[0] is never read
+        heap = [] if lit else [i for i in positions if count[i] < 2]  # ascending: a heap
+        if any(not count[i] for i in heap):
             return None
+        u = lit
+        while True:
+            if u:
+                true[u] = 1
+                for i in occ[u]:
+                    if not satisfied[i]:
+                        satisfied[i] = 1
+                        changed(~i)
+                for i in occ[-u]:
+                    if satisfied[i]:
+                        continue
+                    n = count[i] = count[i] - 1
+                    changed(i)
+                    if n == 1:
+                        heappush(heap, i)
+                    elif not n:
+                        return None
+            while heap:
+                i = heappop(heap)
+                if not satisfied[i]:
+                    break
+            else:
+                break
+            for u in clauses[i]:
+                if not true[-u]:
+                    break
+            units.append(u)
 
-    # Breadth-first search over variable -> clause lists; assigned variables
-    # count as seen, so it never crosses a falsified literal.
-    seen = {abs(u) for u in true}
-    found: list[tuple[int, tuple[Clause, ...]]] = []
-    for start in range(m):
-        if state[start]:
-            continue
-        state[start] = _PLACED
-        members = [start]
-        low = maxsize
-        for j in members:
-            for l in clauses[j]:
-                x = abs(l)
-                if x in seen:
-                    continue
-                seen.add(x)
-                if x < low:
-                    low = x
-                for k in occ[x]:
-                    if not state[k]:
-                        state[k] = _PLACED
-                        members.append(k)
-        members.sort()
-        comp = []
-        for j in members:
-            c = clauses[j]
-            if remaining[j] != len(c):
-                c = tuple(l for l in c if -l not in true)
-            comp.append(c)
-        found.append((low, tuple(comp)))
-    found.sort(key=lambda entry: entry[0])
-    return units, [comp for _, comp in found]
+        # Breadth-first search over the occurrence lists of the variables in
+        # the residual clauses, which hold no assigned variable. A placed
+        # clause is flagged like a satisfied one until the search ends.
+        seen: set[int] = set()
+        found: list[tuple[int, list[int]]] = []
+        for start in positions:
+            if satisfied[start]:
+                continue
+            satisfied[start] = 1
+            members = [start]
+            low = maxsize
+            for j in members:
+                c = residual[j]
+                if count[j] != len(c):
+                    self.replaced.append((j, c))
+                    c = residual[j] = tuple(l for l in c if not true[-l])
+                for l in c:
+                    x = abs(l)
+                    if x in seen:
+                        continue
+                    seen.add(x)
+                    if x < low:
+                        low = x
+                    for k in occ[l]:
+                        if not satisfied[k]:
+                            satisfied[k] = 1
+                            members.append(k)
+                    for k in occ[-l]:
+                        if not satisfied[k]:
+                            satisfied[k] = 1
+                            members.append(k)
+            members.sort()
+            found.append((low, members))
+        for _, members in found:
+            for j in members:
+                satisfied[j] = 0
+        found.sort()  # by smallest variable: no two are equal
+        return units, found

@@ -100,7 +100,7 @@ def cnf_strategy(max_vars: int = 8, max_clauses: int = 15):
 
 # ---------------------------------------------------------------------------
 # Conditioning and components, one step at a time: the reference that
-# compiler._propagate, which does both in one pass, is tested against.
+# the compiler's search state, which does both in one pass, is tested against.
 
 
 def condition(cnf: CnfInstance, lit: int) -> CnfInstance:

@@ -13,7 +13,7 @@ from ddnnf import (
     stats_line,
     write_nnf,
 )
-from ddnnf.circuit import mask_of
+from ddnnf.circuit import mask_of, variables
 from ddnnf.compiler import CompileConfig, compile
 from ddnnf.errors import OracleBoundError
 
@@ -197,6 +197,17 @@ def test_stats_line():
     line = stats_line(circuit)
     assert line.startswith("size=16 ")
     assert "vars=6" in line and "tseitin=0" in line
+
+
+def test_variables_of_sparse_and_dense_masks():
+    # Masks of few set bits are read off the top, the others through one
+    # string of binary digits: both give the set bits ascending.
+    rng = random.Random(11)
+    for k in (0, 1, 2, 31, 32, 33, 64, 300):
+        for top in (k, 2 * k + 5, 10**5):
+            vs = set(rng.sample(range(top + 1), k))
+            assert list(variables(sum(1 << v for v in vs))) == sorted(vs)
+            assert mask_of(vs) == sum(1 << v for v in vs)
 
 
 def test_mask_of_matches_shifted_bits():
