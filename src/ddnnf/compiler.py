@@ -178,12 +178,13 @@ class _Search:
 
     def __init__(self, cnf: CnfInstance):
         self.clauses = clauses = cnf.clauses
-        # true[l] is set iff literal l holds; indexed by l itself, -v is entry 2n + 1 - v.
-        self.true = bytearray(2 * cnf.num_vars + 1)
-        self.occ: list[list[int]] = [[] for _ in self.true]
+        # Lists for the variables in clauses only: memory follows the clauses.
+        self.occ: dict[int, list[int]] = {}
         for i, c in enumerate(clauses):
             for l in c:
-                self.occ[l].append(i)
+                self.occ.setdefault(l, []).append(i)
+                self.occ.setdefault(-l, [])
+        self.true: set[int] = set()  # the literals that hold
         self.count = list(map(len, clauses))
         self.satisfied = bytearray(len(clauses))
         self.residual = list(clauses)
@@ -201,9 +202,8 @@ class _Search:
         assigned, changed, replaced = mark
         true, count, satisfied, residual = self.true, self.count, self.satisfied, self.residual
         for lit, units in self.assigned[assigned:]:
-            true[lit] = 0
-            for u in units:
-                true[u] = 0
+            true.discard(lit)
+            true.difference_update(units)
         del self.assigned[assigned:]
         for i in self.changed[changed:]:
             if i < 0:
@@ -231,14 +231,14 @@ class _Search:
             self.clauses, self.occ, self.true, self.count, self.satisfied, self.residual)
         changed = self.changed.append
         units: list[int] = []
-        self.assigned.append((lit, units))  # true[0] is never read
+        self.assigned.append((lit, units))
         heap = [] if lit else [i for i in positions if count[i] < 2]  # ascending: a heap
         if any(not count[i] for i in heap):
             return None
         u = lit
         while True:
             if u:
-                true[u] = 1
+                true.add(u)
                 for i in occ[u]:
                     if not satisfied[i]:
                         satisfied[i] = 1
@@ -259,7 +259,7 @@ class _Search:
             else:
                 break
             for u in clauses[i]:
-                if not true[-u]:
+                if -u not in true:
                     break
             units.append(u)
 
@@ -278,7 +278,7 @@ class _Search:
                 c = residual[j]
                 if count[j] != len(c):
                     self.replaced.append((j, c))
-                    c = residual[j] = tuple(l for l in c if not true[-l])
+                    c = residual[j] = tuple(l for l in c if -l not in true)
                 for l in c:
                     x = abs(l)
                     if x in seen:

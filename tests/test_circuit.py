@@ -203,7 +203,7 @@ def test_variables_of_sparse_and_dense_masks():
     # Masks of few set bits are read off the top, the others through one
     # string of binary digits: both give the set bits ascending.
     rng = random.Random(11)
-    for k in (0, 1, 2, 31, 32, 33, 64, 300):
+    for k in (0, 1, 2, 15, 16, 17, 64, 300):
         for top in (k, 2 * k + 5, 10**5):
             vs = set(rng.sample(range(top + 1), k))
             assert list(variables(sum(1 << v for v in vs))) == sorted(vs)
