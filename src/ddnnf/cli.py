@@ -43,6 +43,11 @@ from .pruning import artifact_flags, exists_quantify, prune, residual_artifacts
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "order_seed", None) is not None and (
+        args.order or args.heuristic not in (None, "random")
+    ):
+        parser.error("a branch-order seed selects the seeded-random order: "
+                     "it combines with neither --order nor a --heuristic other than random")
     try:
         with warnings.catch_warnings():
             # One line per warning, without Python's source location.
@@ -139,25 +144,25 @@ def _add_order_options(
     default_heuristic: str = "input",
     seed_flag: str = "--seed",
 ) -> None:
+    # Unset, --heuristic is default_heuristic, or random when a seed is given.
     p.add_argument("--order", help="explicit branch order, comma-separated variables")
-    p.add_argument("--heuristic", choices=("input", "dyn", "random"), default=default_heuristic)
-    p.add_argument(seed_flag, type=int, default=None, dest="order_seed",
+    p.add_argument("--heuristic", choices=("input", "dyn", "random"),
+                   help=f"branch heuristic (default: {default_heuristic})")
+    p.add_argument(seed_flag, type=int, dest="order_seed",
                    help="seeded-random branch order (implies --heuristic random)")
+    p.set_defaults(default_heuristic=default_heuristic)
 
 
 def _config_from_args(args) -> CompileConfig:
-    if getattr(args, "order", None):
+    max_decisions = getattr(args, "max_decisions", None)
+    if args.order:
         order = tuple(int(t) for t in args.order.replace(",", " ").split())
-        return CompileConfig(order=order, max_decisions=getattr(args, "max_decisions", None))
-    heuristic = {"input": "input", "dyn": "dynamic", "random": "random"}[args.heuristic]
-    seed = getattr(args, "order_seed", None)
-    if seed is not None and heuristic == "input":
-        heuristic = "random"
-    return CompileConfig(
-        order=heuristic,
-        seed=seed if seed is not None else 0,
-        max_decisions=getattr(args, "max_decisions", None),
-    )
+        return CompileConfig(order=order, max_decisions=max_decisions)
+    if args.order_seed is not None:
+        return CompileConfig(order="random", seed=args.order_seed, max_decisions=max_decisions)
+    heuristic = {"input": "input", "dyn": "dynamic", "random": "random"}[
+        args.heuristic or args.default_heuristic]
+    return CompileConfig(order=heuristic, max_decisions=max_decisions)
 
 
 def _with_suffix(path: str, suffix: str) -> Path:

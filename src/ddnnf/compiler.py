@@ -14,8 +14,6 @@ from .circuit import AND, OR, Circuit, _run, range_mask
 from .cnf import Clause, CnfInstance
 from .errors import ToolkitError
 
-ComponentKey = frozenset[Clause]
-
 
 class CompileBudgetError(ToolkitError):
     pass
@@ -33,14 +31,7 @@ class CompileConfig:
 
     order: str | tuple[int, ...] | list[int] = "input"
     seed: int = 0
-    cache_enabled: bool = True
     max_decisions: int | None = None
-
-
-def component_key(clauses) -> ComponentKey:
-    """Canonical form of a clause set, the set of its distinct clauses; equal
-    keys iff equal sets."""
-    return frozenset(clauses)
 
 
 def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
@@ -62,7 +53,7 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
     residual = search.residual
     # Key hash -> (the key as a tuple, node id); a colliding key takes the
     # next free hash. Kept frozensets would nearly triple a compile's memory.
-    cache: dict[int, tuple[tuple[Clause, ...], int]] | None = {} if cfg.cache_enabled else None
+    cache: dict[int, tuple[tuple[Clause, ...], int]] = {}
     decisions = 0
 
     def pick_var(low: int, comp: list[int]) -> int:
@@ -121,10 +112,9 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
         literals = list(map(circuit.add_literal, units))
         parts = []
         for low, comp in components:
-            if cache is None:
-                parts.append((yield branch(low, comp)))
-                continue
-            key = component_key(map(residual.__getitem__, comp))
+            # The set of the distinct residual clauses: keys are equal iff
+            # the clause sets are equal.
+            key = frozenset(map(residual.__getitem__, comp))
             h = hash(key)
             while (entry := cache.get(h)) and not (
                 len(entry[0]) == len(key) and key.issuperset(entry[0])

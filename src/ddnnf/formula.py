@@ -485,11 +485,8 @@ def tseitin_transform(f: Formula) -> TseitinOutput:
                 lits = [b] if b is not None else gate_body(body)
                 if isinstance(lits, Const):
                     clauses.append((h,) if lits.value else (-h,))
-                elif len(lits) == 1:
-                    clauses.append((-h, lits[0]))
-                    clauses.append((h, -lits[0]))
                 else:
-                    emit_gate(h, lits, isinstance(body, And))
+                    emit_gate(h, lits, len(lits) == 1 or isinstance(body, And))
                 continue
         g = nnf_rewrite(g)
         lit = lit_code(g)

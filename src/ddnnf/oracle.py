@@ -2,9 +2,9 @@
 
 Each is a truth table over an ordered universe of n <= ``oracle_bound()``
 variables: a 2^n-bit integer whose bit i is set iff assignment i (setting
-universe[j] iff bit j of i is set) is a model. None of it reuses the
-counting, compilation or encoding machinery, so it can serve as their
-ground truth."""
+universe[j] iff bit j of i is set) is a model. It reuses no counting,
+compilation or encoding code, only the fold that walks a formula, so it can
+serve as their ground truth."""
 
 from __future__ import annotations
 
@@ -94,38 +94,24 @@ def _insert_free(table: int, position: int, nbits: int) -> int:
     return table | table << (1 << position)
 
 
-# Per connective: its operands, and its table from theirs and the full one.
-_CONNECTIVES = {
-    fm.Not: (lambda g: (g.child,), lambda ts, full: full ^ ts[0]),
-    fm.And: (lambda g: g.children, lambda ts, full: reduce(and_, ts, full)),
-    fm.Or: (lambda g: g.children, lambda ts, full: reduce(or_, ts, 0)),
-    fm.Iff: (lambda g: (g.left, g.right), lambda ts, full: full ^ ts[0] ^ ts[1]),
-}
-
-
 def _formula_table(f: fm.Formula, masks: dict, full: int) -> int:
-    """Table of ``f``, given the table of each variable name, built bottom-up
-    on an explicit stack. Tables are kept by object id, so a sub-formula
-    shared by several parents is expanded once."""
-    tables: dict[int, int] = {}
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if isinstance(g, (fm.Var, fm.Const)):
-            stack.pop()
-            tables[id(g)] = masks[g.name] if isinstance(g, fm.Var) else full if g.value else 0
-            continue
-        if type(g) not in _CONNECTIVES:
-            raise TypeError(f"not a formula: {g!r}")
-        operands, combine = _CONNECTIVES[type(g)]
-        kids = operands(g)
-        todo = [c for c in kids if id(c) not in tables]
-        if todo:
-            stack.extend(todo)
-        else:
-            stack.pop()
-            tables[id(g)] = combine([tables[id(c)] for c in kids], full)
-    return tables[id(f)]
+    """Table of ``f``, given the table of each variable name, by the formula
+    fold: a sub-formula shared by several parents is tabled once."""
+
+    def combine(g: fm.Formula, ts: list[int]) -> int:
+        if isinstance(g, fm.Var):
+            return masks[g.name]
+        if isinstance(g, fm.Const):
+            return full if g.value else 0
+        if isinstance(g, fm.Not):
+            return full ^ ts[0]
+        if isinstance(g, fm.And):
+            return reduce(and_, ts, full)
+        if isinstance(g, fm.Or):
+            return reduce(or_, ts, 0)
+        return full ^ ts[0] ^ ts[1]  # Iff
+
+    return fm._fold(f, combine)
 
 
 class CircuitTables:
@@ -142,8 +128,19 @@ class CircuitTables:
         _check_bound(circuit.universe_mask.bit_count())
         self.circuit = circuit
         self.order = tuple(mask_variables(circuit.node(circuit.root).mask))
-        self.tables, self.full = _truth_tables(circuit, self.order)
         self.nbits = 1 << len(self.order)
+        # True is an AND of nothing, false an OR of nothing.
+        masks, full = _masks(self.order)
+        tables: dict[int, int] = {}
+        for nid in circuit.reachable():
+            node = circuit.node(nid)
+            ts = map(tables.__getitem__, node.children)
+            if node.kind == LIT:
+                m = masks[abs(node.lit)]
+                tables[nid] = m if node.lit > 0 else full ^ m
+            else:
+                tables[nid] = reduce(and_, ts, full) if node.kind == AND else reduce(or_, ts, 0)
+        self.tables, self.full = tables, full
 
     def deterministic(self) -> bool:
         """No two children of any OR share a model: nonnegative tables add up
@@ -164,21 +161,6 @@ class CircuitTables:
             if variables >> v & 1 or not mask >> v & 1:
                 table = _exists_at(table, j, self.nbits)
         return table == self.full
-
-
-def _truth_tables(circuit: Circuit, order) -> tuple[dict[int, int], int]:
-    # True is an AND of nothing, false an OR of nothing.
-    masks, full = _masks(order)
-    tables: dict[int, int] = {}
-    for nid in circuit.reachable():
-        node = circuit.node(nid)
-        ts = map(tables.__getitem__, node.children)
-        if node.kind == LIT:
-            m = masks[abs(node.lit)]
-            tables[nid] = m if node.lit > 0 else full ^ m
-        else:
-            tables[nid] = reduce(and_, ts, full) if node.kind == AND else reduce(or_, ts, 0)
-    return tables, full
 
 
 def _table(source) -> tuple[tuple, int]:
@@ -212,14 +194,6 @@ def enumerate_models(source) -> ModelSet:
     the set bits of its truth table over its variable universe."""
     universe, table = _table(source)
     return ModelSet(universe, frozenset(mask_variables(table)))
-
-
-def circuit_truth_tables(circuit: Circuit) -> tuple[dict[int, int], int]:
-    """Truth table per reachable node over the sorted universe, and the
-    all-assignments table."""
-    if circuit.root is None:
-        raise ValueError("circuit has no root")
-    return _truth_tables(circuit, tuple(mask_variables(circuit.universe_mask)))
 
 
 def check_exists_equiv(source, variables, reference: fm.Formula, names=None) -> bool:

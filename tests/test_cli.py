@@ -216,6 +216,19 @@ class TestCompilePruneCount:
             code, out, _ = _run(capsys, "count", str(workspace / "f.nnf"))
             assert out.strip() == "7"
 
+    @pytest.mark.parametrize("extra", [
+        ["--heuristic", "dyn", "--seed", "5"],
+        ["--heuristic", "input", "--seed", "5"],
+        ["--order", "3,2,1", "--seed", "5"],
+    ])
+    def test_seed_with_other_order_is_usage_error(self, workspace, capsys, extra):
+        _run(capsys, "tseitin", str(workspace / "f.bool"))
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", str(workspace / "f.cnf"), *extra])
+        assert exc.value.code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (workspace / "f.nnf").exists()
+
     def test_long_chain_compiles_without_traceback(self, tmp_path):
         # 800 decision levels in input order: more than Python's default
         # recursion limit allows a recursive search.
@@ -365,6 +378,21 @@ class TestBench:
         assert lines[0].startswith("instance,size,ddnnf")
         assert len(lines) == 4
         assert "noisy_or_n3" in out
+
+    def test_order_seed_selects_random_order(self, capsys):
+        def sizes(*extra):
+            code, out, _ = _run(capsys, "bench", "--family", "overlap", "--sizes", "6",
+                                "--no-verify", *extra)
+            assert code == 0
+            return out.splitlines()[1].split(",")[2:5]
+
+        assert sizes() == ["74", "53", "26"]
+        assert sizes("--order-seed", "5") == sizes("--heuristic", "random", "--order-seed", "5")
+        assert sizes("--order-seed", "5") == ["162", "108", "64"]
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--family", "overlap", "--sizes", "6", "--heuristic", "dyn",
+                  "--order-seed", "5"])
+        assert exc.value.code == 2
 
     def test_sizes_comma_list(self, capsys):
         code, out, _ = _run(capsys, "bench", "--family", "overlap", "--sizes", "2,3")

@@ -22,7 +22,7 @@ from ddnnf import (
 )
 from ddnnf.bench import gen_mutex_cpt, gen_noisy_or, gen_overlapping_disjunction
 from ddnnf.counting import MissingWeightError, NonDecomposableError
-from ddnnf.oracle import circuit_truth_tables, enumerate_models
+from ddnnf.oracle import CircuitTables, enumerate_models
 
 from helpers import random_cnf, random_formula
 from test_cnf import OVERLAP_DIMACS
@@ -136,20 +136,20 @@ class TestAnnotate:
                 assert counts[nid] <= 1 << len(circuit.node(nid).varset)
 
     def test_counts_match_oracle_tables(self):
-        # A node's table ranges over the whole universe, so it holds each
-        # model over the node's own variables 2^(free variables) times.
+        # A node's table ranges over the variables the root mentions, so it
+        # holds each model over the node's own variables 2^(the rest) times.
         rng = random.Random(29)
         for _ in range(80):
             cnf = random_cnf(rng, max_vars=10, max_clauses=18, gate_prob=0.5)
             cnf = CnfInstance(cnf.num_vars, cnf.clauses, detect_tseitin_vars(cnf))
             compiled = compile_cnf(cnf, CompileConfig(order="dynamic"))
             for circuit in (compiled, prune(compiled)[0]):
-                tables, _ = circuit_truth_tables(circuit)
+                tables = CircuitTables(circuit)
                 counts = annotate_counts(circuit)
                 assert counts.keys() == set(circuit.reachable())
                 for nid in circuit.reachable():
-                    free = len(circuit.universe) - len(circuit.node(nid).varset)
-                    assert counts[nid] << free == tables[nid].bit_count()
+                    free = len(tables.order) - len(circuit.node(nid).varset)
+                    assert counts[nid] << free == tables.tables[nid].bit_count()
                 count = model_count(circuit)
                 assert type(count) is int
                 assert count == weighted_model_count(circuit, WeightMap(default=1))
