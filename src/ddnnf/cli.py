@@ -41,13 +41,7 @@ from .pruning import artifact_flags, exists_quantify, prune, residual_artifacts
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "order_seed", None) is not None and (
-        args.order or args.heuristic not in (None, "random")
-    ):
-        parser.error("a branch-order seed selects the seeded-random order: "
-                     "it combines with neither --order nor a --heuristic other than random")
+    args = _build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():
             # One line per warning, without Python's source location.
@@ -87,9 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile a CNF to a d-DNNF circuit")
     p.add_argument("input", help="DIMACS CNF file")
     p.add_argument("-o", "--output", help="NNF output path (default: <input>.nnf)")
-    _add_order_options(p)
+    _add_order_option(p, "input")
     p.add_argument("--tvars", help="tvars sidecar to embed (default: <input>.tvars if present)")
-    p.add_argument("--max-decisions", type=int, help="abort after this many branch decisions")
+    p.add_argument("--max-decisions", type=_budget, help="abort after this many branch decisions")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("prune", help="quantify gate variables and remove artifacts")
@@ -115,18 +109,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run brute-force oracle checks on a file")
     p.add_argument("input", help="formula (.bool), CNF (.cnf), or circuit (.nnf)")
-    _add_order_options(p)
+    _add_order_option(p, "input")
     p.add_argument("--tvars", help="tvars sidecar for CNF/NNF inputs")
     p.add_argument("--format", choices=("c2d", "d4"), default="c2d")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="size-reduction report over generated instances")
     p.add_argument("--family", required=True, choices=("overlap", "noisy_or", "mutex"))
-    p.add_argument("--sizes", required=True, help="e.g. '2..10' or '2,4,8'")
+    p.add_argument("--sizes", required=True, type=_sizes, help="e.g. '2..10' or '2,4,8'")
     p.add_argument("--seed", type=int, default=0, help="instance seed (mutex family)")
     p.add_argument("--parents", type=int, default=2, help="parents per node (mutex family)")
-    _add_order_options(p, default_heuristic="dyn", seed_flag="--order-seed")
-    p.add_argument("--max-decisions", type=int)
+    _add_order_option(p, "dynamic")
+    p.add_argument("--max-decisions", type=_budget)
     p.add_argument("--no-verify", action="store_true", help="skip oracle verification")
     p.add_argument("-o", "--output", help="CSV output path (default: stdout only)")
     p.set_defaults(func=cmd_bench)
@@ -139,30 +133,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_order_options(
-    p: argparse.ArgumentParser,
-    default_heuristic: str = "input",
-    seed_flag: str = "--seed",
-) -> None:
-    # Unset, --heuristic is default_heuristic, or random when a seed is given.
-    p.add_argument("--order", help="explicit branch order, comma-separated variables")
-    p.add_argument("--heuristic", choices=("input", "dyn", "random"),
-                   help=f"branch heuristic (default: {default_heuristic})")
-    p.add_argument(seed_flag, type=int, dest="order_seed",
-                   help="seeded-random branch order (implies --heuristic random)")
-    p.set_defaults(default_heuristic=default_heuristic)
+def _add_order_option(p: argparse.ArgumentParser, default: str) -> None:
+    p.add_argument("--order", type=_branch_order, default=default, dest="config",
+                   metavar="ORDER", help="branch order: input, dynamic (most occurrences "
+                   "first), random[:SEED] (seed 0 when omitted) or a comma-separated "
+                   f"variable list (default: {default})")
 
 
-def _config_from_args(args) -> CompileConfig:
-    max_decisions = getattr(args, "max_decisions", None)
-    if args.order:
-        order = tuple(int(t) for t in args.order.replace(",", " ").split())
-        return CompileConfig(order=order, max_decisions=max_decisions)
-    if args.order_seed is not None:
-        return CompileConfig(order="random", seed=args.order_seed, max_decisions=max_decisions)
-    heuristic = {"input": "input", "dyn": "dynamic", "random": "random"}[
-        args.heuristic or args.default_heuristic]
-    return CompileConfig(order=heuristic, max_decisions=max_decisions)
+def _branch_order(text: str) -> CompileConfig:
+    kind, colon, seed = text.partition(":")
+    try:
+        if text in ("input", "dynamic"):
+            return CompileConfig(order=text)
+        if kind == "random":
+            return CompileConfig(order="random", seed=int(seed) if colon else 0)
+        return CompileConfig(order=tuple(int(v) for v in text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected input, dynamic, random[:SEED] or a comma-separated "
+            f"variable list, got {text!r}") from None
+
+
+def _budget(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text!r}")
+    return int(text)
+
+
+def _sizes(text: str) -> list[int]:
+    lo, dots, hi = text.partition("..")
+    try:
+        sizes = (list(range(int(lo), int(hi) + 1)) if dots
+                 else [int(t) for t in text.replace(",", " ").split()])
+    except ValueError:
+        sizes = []
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"expected LO..HI with LO <= HI, or a list, got {text!r}")
+    return sizes
 
 
 def _with_suffix(path: str, suffix: str) -> Path:
@@ -208,7 +215,7 @@ def cmd_compile(args) -> int:
     tvars_path = Path(args.tvars) if args.tvars else _with_suffix(args.input, ".tvars")
     if args.tvars or tvars_path.exists():
         cnf = replace(cnf, tseitin_vars=parse_tvars(tvars_path.read_text()))
-    circuit = compile(cnf, _config_from_args(args))
+    circuit = compile(cnf, replace(args.config, max_decisions=args.max_decisions))
     out_path = Path(args.output) if args.output else _with_suffix(args.input, ".nnf")
     out_path.write_text(write_nnf(circuit))
     print(f"wrote {out_path} ({stats_line(circuit)})")
@@ -263,11 +270,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = _parse_sizes(args.sizes)
     report = bench_mod.run_bench(
         args.family,
-        sizes,
-        config=_config_from_args(args),
+        args.sizes,
+        config=replace(args.config, max_decisions=args.max_decisions),
         seed=args.seed,
         parents=args.parents,
         oracle_check=not args.no_verify,
@@ -280,22 +286,15 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _parse_sizes(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in spec.replace(",", " ").split()]
-
-
 def cmd_verify(args) -> int:
     path = Path(args.input)
     suffix = path.suffix.lower()
     if suffix in (".bool", ".txt"):
-        results = _verify_formula(fm.parse_formula(path.read_text()), _config_from_args(args))
+        results = _verify_formula(fm.parse_formula(path.read_text()), args.config)
     elif suffix == ".cnf":
         cnf = parse_dimacs(path.read_text())
         gates = parse_tvars(Path(args.tvars).read_text()) if args.tvars else detect_tseitin_vars(cnf)
-        results = _verify_cnf(replace(cnf, tseitin_vars=gates), _config_from_args(args))
+        results = _verify_cnf(replace(cnf, tseitin_vars=gates), args.config)
     else:
         results = _verify_circuit(CircuitTables(_load_circuit(args)))
     failed = False

@@ -85,27 +85,9 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
             return next(iter(merged))
         return circuit.add_and(merged)
 
-    def branch(low: int, comp: list[int]):
-        nonlocal decisions
-        decisions += 1
-        if cfg.max_decisions is not None and decisions > cfg.max_decisions:
-            raise CompileBudgetError(f"decision budget {cfg.max_decisions} exceeded")
-        v = pick_var(low, comp)
-        mark = search.mark()
-        hi = yield rec(search.propagate(v, comp))
-        search.undo(mark)
-        lo = yield rec(search.propagate(-v, comp))
-        search.undo(mark)
-        children = []
-        if not is_false(hi):
-            children.append(mk_and((circuit.add_literal(v),), [hi]))
-        if not is_false(lo):
-            children.append(mk_and((circuit.add_literal(-v),), [lo]))
-        if len(children) == 1:
-            return children[0]
-        return circuit.add_or(children, decision=v)  # false when empty
-
     def rec(split: tuple[list[int], list[tuple[int, list[int]]]] | None):
+        # One propagation's units and components; a cache miss is a decision.
+        nonlocal decisions
         if split is None:
             return circuit.add_or(())  # false
         units, components = split
@@ -121,22 +103,36 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
             ):
                 h += 1
             if entry:
-                nid = entry[1]
-            else:
-                key = tuple(key)  # held down the subtree, the set would cost thrice
-                nid = yield branch(low, comp)
-                while h in cache:  # the subtree may have taken slot h
-                    h += 1
-                cache[h] = (key, nid)
+                parts.append(entry[1])
+                continue
+            key = tuple(key)  # held down the subtree, the set would cost thrice
+            decisions += 1
+            if cfg.max_decisions is not None and decisions > cfg.max_decisions:
+                raise CompileBudgetError(f"decision budget {cfg.max_decisions} exceeded")
+            v = pick_var(low, comp)
+            mark = search.mark()
+            hi = yield rec(search.propagate(v, comp))
+            search.undo(mark)
+            lo = yield rec(search.propagate(-v, comp))
+            search.undo(mark)
+            children = []
+            if not is_false(hi):
+                children.append(mk_and((circuit.add_literal(v),), [hi]))
+            if not is_false(lo):
+                children.append(mk_and((circuit.add_literal(-v),), [lo]))
+            nid = children[0] if len(children) == 1 else circuit.add_or(children, decision=v)
+            while h in cache:  # the subtree may have taken slot h
+                h += 1
+            cache[h] = (key, nid)
             parts.append(nid)
         return mk_and(literals, parts)
 
     try:
         circuit.set_root(_run(rec(search.propagate(0, range(len(cnf.clauses))))))
     finally:
-        # branch and rec refer to each other; breaking that cycle frees the
-        # cache and the circuit now, not when the cycle collector next runs.
-        del branch, rec
+        # rec refers to itself; breaking that cycle frees the cache and the
+        # circuit now, not when the cycle collector next runs.
+        del rec
     return circuit
 
 

@@ -61,6 +61,8 @@ class WeightMap:
                 raise ValueError(f"line {lineno}: non-numeric literal or weight") from None
             if lit == 0:
                 raise ValueError(f"line {lineno}: literal 0")
+            if not (exact or math.isfinite(w)):
+                raise ValueError(f"line {lineno}: weight {fields[2]} is not finite")
             weights[lit] = w
         return WeightMap(weights, default=Fraction(1) if exact else 1.0)
 

@@ -2,12 +2,14 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import ddnnf
+from ddnnf import CompileConfig, compile_cnf, parse_dimacs, parse_tvars, write_nnf
 from ddnnf.bench import gen_noisy_or, gen_overlapping_disjunction
 from ddnnf.cli import main
 
@@ -32,7 +34,7 @@ def _noisy_or_pipeline(tmp_path, capsys, formula=None):
     formula = gen_noisy_or(4) if formula is None else formula
     (tmp_path / "n.bool").write_text(ddnnf.format_formula(formula) + "\n")
     assert main(["tseitin", str(tmp_path / "n.bool")]) == 0
-    assert main(["compile", str(tmp_path / "n.cnf"), "--heuristic", "dyn"]) == 0
+    assert main(["compile", str(tmp_path / "n.cnf"), "--order", "dynamic"]) == 0
     capsys.readouterr()
     return tmp_path / "n.nnf"
 
@@ -206,28 +208,50 @@ class TestCompilePruneCount:
 
     def test_compile_heuristics(self, workspace, capsys):
         _run(capsys, "tseitin", str(workspace / "f.bool"))
-        for extra in (
-            ["--heuristic", "dyn"],
-            ["--heuristic", "random", "--seed", "5"],
-            ["--seed", "9"],  # bare seed selects the seeded-random order
-        ):
-            code, _, _ = _run(capsys, "compile", str(workspace / "f.cnf"), *extra)
+        for order in ("dynamic", "random:5", "random:9"):
+            code, _, _ = _run(capsys, "compile", str(workspace / "f.cnf"), "--order", order)
             assert code == 0
             code, out, _ = _run(capsys, "count", str(workspace / "f.nnf"))
             assert out.strip() == "7"
 
-    @pytest.mark.parametrize("extra", [
-        ["--heuristic", "dyn", "--seed", "5"],
-        ["--heuristic", "input", "--seed", "5"],
-        ["--order", "3,2,1", "--seed", "5"],
+    @pytest.mark.parametrize("value, config", [
+        ("input", CompileConfig()),
+        ("dynamic", CompileConfig(order="dynamic")),
+        ("random", CompileConfig(order="random", seed=0)),
+        ("random:5", CompileConfig(order="random", seed=5)),
+        ("3,2,1", CompileConfig(order=(3, 2, 1))),
+        ("a,b", None),
+        ("random:x", None),
+        ("dynamic:5", None),
+        ("dyn", None),
+        ("", None),
     ])
-    def test_seed_with_other_order_is_usage_error(self, workspace, capsys, extra):
+    def test_order_option(self, workspace, capsys, value, config):
+        # One --order value is one CompileConfig: the same bytes as the
+        # library call, or a usage error that writes nothing.
         _run(capsys, "tseitin", str(workspace / "f.bool"))
+        argv = ["compile", str(workspace / "f.cnf"), "--order", value]
+        if config is None:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "--order" in capsys.readouterr().err
+            assert not (workspace / "f.nnf").exists()
+            return
+        assert main(argv) == 0
+        cnf = replace(parse_dimacs((workspace / "f.cnf").read_text()),
+                      tseitin_vars=parse_tvars((workspace / "f.tvars").read_text()))
+        assert (workspace / "f.nnf").read_text() == write_nnf(compile_cnf(cnf, config))
+
+    def test_max_decisions_below_zero_is_usage_error(self, tmp_path, capsys):
+        cnf = tmp_path / "u.cnf"
+        cnf.write_text("p cnf 2 2\n1 0\n-2 0\n")  # units only: no decision
         with pytest.raises(SystemExit) as exc:
-            main(["compile", str(workspace / "f.cnf"), *extra])
+            main(["compile", str(cnf), "--max-decisions", "-1"])
         assert exc.value.code == 2
-        assert "seed" in capsys.readouterr().err
-        assert not (workspace / "f.nnf").exists()
+        assert "--max-decisions" in capsys.readouterr().err
+        assert not (tmp_path / "u.nnf").exists()
+        assert _run(capsys, "compile", str(cnf), "--max-decisions", "0")[0] == 0
 
     def test_long_chain_compiles_without_traceback(self, tmp_path):
         # 800 decision levels in input order: more than Python's default
@@ -386,18 +410,23 @@ class TestBench:
             assert code == 0
             return out.splitlines()[1].split(",")[2:5]
 
-        assert sizes() == ["74", "53", "26"]
-        assert sizes("--order-seed", "5") == sizes("--heuristic", "random", "--order-seed", "5")
-        assert sizes("--order-seed", "5") == ["162", "108", "64"]
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--family", "overlap", "--sizes", "6", "--heuristic", "dyn",
-                  "--order-seed", "5"])
-        assert exc.value.code == 2
+        assert sizes() == sizes("--order", "dynamic") == ["74", "53", "26"]
+        assert sizes("--order", "random:5") == ["162", "108", "64"]
+        assert sizes("--order", "random") == sizes("--order", "random:0")
 
     def test_sizes_comma_list(self, capsys):
         code, out, _ = _run(capsys, "bench", "--family", "overlap", "--sizes", "2,3")
         assert code == 0
         assert "overlap_n3" in out
+
+    @pytest.mark.parametrize("sizes", ["x", "5..2", "2..x", ""])
+    def test_bad_sizes_are_usage_errors(self, tmp_path, capsys, sizes):
+        out_path = tmp_path / "report.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--family", "overlap", "--sizes", sizes, "-o", str(out_path)])
+        assert exc.value.code == 2
+        assert "--sizes" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 @pytest.mark.parametrize(

@@ -548,6 +548,12 @@ class TestWeightsFile:
         with pytest.raises(ValueError, match=f"^line {line}: non-numeric literal or weight$"):
             WeightMap.from_text(text, exact=exact)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "-Infinity"])
+    def test_float_weight_must_be_finite(self, weight):
+        # Exact weights refuse these as non-numeric already.
+        with pytest.raises(ValueError, match=f"^line 2: weight {weight} is not finite$"):
+            WeightMap.from_text(f"w 1 0.5\nw -1 {weight}\n")
+
 
 def test_tseitin_weighted_one_preserves_formula_wmc():
     rng = random.Random(31)
