@@ -7,6 +7,7 @@ budget), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from dataclasses import replace
@@ -259,8 +260,15 @@ def cmd_count(args) -> int:
 
 def cmd_wmc(args) -> int:
     circuit = _load_circuit(args)
-    weights = WeightMap.from_text(Path(args.weights).read_text(), exact=args.exact)
-    _print_in_full(weighted_model_count(circuit, weights))
+    text = Path(args.weights).read_text()
+    value = weighted_model_count(circuit, WeightMap.from_text(text, exact=args.exact))
+    if not args.exact:
+        # Floats overflow to inf and underflow to 0.0; neither is printed.
+        if not math.isfinite(value):
+            raise ToolkitError(f"float WMC is {value}, out of float range; use --exact")
+        if not value and weighted_model_count(circuit, WeightMap.from_text(text, exact=True)):
+            raise ToolkitError("float WMC underflows to 0.0 but is nonzero; use --exact")
+    _print_in_full(value)
     return 0
 
 

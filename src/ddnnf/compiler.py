@@ -7,7 +7,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, filterfalse
 from sys import maxsize
 
 from .circuit import AND, OR, Circuit, _run, range_mask
@@ -205,7 +205,8 @@ class _Search:
         """Assign ``lit``, unit-propagate to a fixpoint and split the open
         clauses among ``positions`` into variable-disjoint components; None
         on a conflict. ``lit`` 0 starts from the unit and empty clauses among
-        ``positions``, which otherwise hold none, as after any propagation.
+        ``positions``; any other ``lit`` is decided on one component of an
+        earlier propagation, which holds none.
 
         The units (``lit`` not among them) come as conditioning on the first
         unit clause in clause order, one at a time, gives them: a heap of
@@ -216,11 +217,13 @@ class _Search:
         clauses, occ, true, count, satisfied, residual = (
             self.clauses, self.occ, self.true, self.count, self.satisfied, self.residual)
         changed = self.changed.append
+        start = len(self.changed)
         units: list[int] = []
         self.assigned.append((lit, units))
         heap = [] if lit else [i for i in positions if count[i] < 2]  # ascending: a heap
         if any(not count[i] for i in heap):
             return None
+        flagged = 0  # the clauses this propagation satisfied
         u = lit
         while True:
             if u:
@@ -229,6 +232,7 @@ class _Search:
                     if not satisfied[i]:
                         satisfied[i] = 1
                         changed(~i)
+                        flagged += 1
                 for i in occ[-u]:
                     if satisfied[i]:
                         continue
@@ -248,6 +252,35 @@ class _Search:
                 if -u not in true:
                     break
             units.append(u)
+
+        if lit:
+            # Every clause this satisfied is in ``positions``, all open
+            # before. If none is left, there is nothing to split.
+            if flagged == len(positions):
+                return units, []
+            # With no units, the clauses ``lit`` changed meet the rest only
+            # at the clauses it shrank and at the free variables of the ones
+            # it satisfied. With at most one such point, any path between two
+            # remaining clauses that ran through the changed ones enters and
+            # leaves there, so the rest is still one component. ``points``
+            # holds abs(lit) besides the points: a variable, or ~i for clause i.
+            if not units:
+                points = {abs(lit)}
+                for i in self.changed[start:]:
+                    if i < 0:
+                        points.update(map(abs, residual[~i]))
+                    else:
+                        points.add(~i)
+                    if len(points) > 2:
+                        break
+                else:
+                    for i in points:
+                        if i < 0:
+                            self.replaced.append((~i, residual[~i]))
+                            residual[~i] = tuple(l for l in residual[~i] if -l not in true)
+                    comp = list(filterfalse(satisfied.__getitem__, positions))
+                    low = min(map(abs, chain.from_iterable(map(residual.__getitem__, comp))))
+                    return units, [(low, comp)]
 
         # Breadth-first search over the occurrence lists of the variables in
         # the residual clauses, which hold no assigned variable. A placed

@@ -332,6 +332,42 @@ class TestWmc:
             assert (code, out) == (0, "20/7\n")
 
 
+class TestFloatWmcRange:
+    # A float result out of range is refused, not printed: 0.5^1100 underflows
+    # to 0.0, and 2^1099 * 0.5 overflows to inf.
+    def test_underflow_exits_1(self, tmp_path, capsys):
+        n = 1100
+        nnf = tmp_path / "and.nnf"
+        nnf.write_text(
+            f"nnf {n + 1} {n} {n}\n" + "".join(f"L {v}\n" for v in range(1, n + 1))
+            + f"A {n} " + " ".join(map(str, range(n))) + "\n")
+        weights = tmp_path / "w.txt"
+        weights.write_text("".join(f"w {v} 0.5\nw -{v} 0.5\n" for v in range(1, n + 1)))
+        code, out, err = _run(capsys, "wmc", str(nnf), "--weights", str(weights))
+        assert (code, out) == (1, "")
+        assert "--exact" in err
+        code, out, _ = _run(capsys, "wmc", str(nnf), "--weights", str(weights), "--exact")
+        assert (code, out) == (0, f"1/{2**n}\n")
+
+    def test_overflow_exits_1(self, tmp_path, capsys):
+        nnf = tmp_path / "lit.nnf"
+        nnf.write_text("nnf 1 0 1100\nL 1\n")
+        weights = tmp_path / "w.txt"
+        weights.write_text("w 1 0.5\nw -1 0.5\n")
+        code, out, err = _run(capsys, "wmc", str(nnf), "--weights", str(weights))
+        assert (code, out) == (1, "")
+        assert "--exact" in err
+        code, out, _ = _run(capsys, "wmc", str(nnf), "--weights", str(weights), "--exact")
+        assert (code, out) == (0, f"{2**1098}\n")
+
+    def test_true_zero_prints(self, tmp_path, capsys):
+        nnf = tmp_path / "lit.nnf"
+        nnf.write_text("nnf 1 0 2\nL 1\n")
+        weights = tmp_path / "w.txt"
+        weights.write_text("w 1 0\nw -1 0.5\n")
+        assert _run(capsys, "wmc", str(nnf), "--weights", str(weights)) == (0, "0.0\n", "")
+
+
 class TestBigCounts:
     # 2^20000 has 6,021 digits, more than the 4,300 that Python converts from
     # an int to text by default. Decimal builds the expected text without

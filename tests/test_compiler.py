@@ -335,25 +335,32 @@ def _state(search):
     return list(search.count), bytes(search.satisfied), list(search.residual), set(search.true)
 
 
-def _branch_literal(search, components, rng):
+def _branch_literal(search, components, rng, lit=None):
+    # A literal on one of the components: ``lit`` on the one holding its
+    # variable when given, else a random one.
+    if lit is not None:
+        comp = next(comp for _, comp in components
+                    if any(abs(l) == abs(lit) for i in comp for l in search.residual[i]))
+        return comp, lit
     _, comp = rng.choice(components)
     variables = sorted({abs(l) for i in comp for l in search.residual[i]})
     return comp, rng.choice(variables) * rng.choice((1, -1))
 
 
-def _check_shared_state(cnf, rng):
+def _check_shared_state(cnf, rng, lits=(None, None, None)):
     """One search state against conditioning one unit at a time: the root
     propagation, a literal ``a`` on one of its components, ``b`` on one of
-    a's components undone again, then ``c`` on one of a's components. Every
-    step must match the reference on the component's residual CNF, ``c``
-    must leave what it leaves on a fresh state, and undoing to the first
-    mark must restore every counter, flag and residual."""
+    a's components undone again, then ``c`` on one of a's components (the
+    literals of ``lits`` where given). Every step must match the reference
+    on the component's residual CNF, ``c`` must leave what it leaves on a
+    fresh state, and undoing to the first mark must restore every counter,
+    flag and residual."""
 
     def step(search, lit, comp):
         before = CnfInstance(cnf.num_vars, tuple(search.residual[i] for i in comp))
-        got = _split_clauses(search, search.propagate(lit, comp))
-        assert got == _propagate_reference(before, lit)
-        return got
+        split = search.propagate(lit, comp)
+        assert _split_clauses(search, split) == _propagate_reference(before, lit)
+        return split
 
     search = _Search(cnf)
     first = search.mark()
@@ -361,15 +368,15 @@ def _check_shared_state(cnf, rng):
     root = search.propagate(0, everything)
     assert _split_clauses(search, root) == _propagate_reference(cnf, 0)
     if root is not None and root[1]:
-        comp_a, a = _branch_literal(search, root[1], rng)
-        split_a = search.propagate(a, comp_a)
+        comp_a, a = _branch_literal(search, root[1], rng, lits[0])
+        split_a = step(search, a, comp_a)
         if split_a is not None and split_a[1]:
             after_a = search.mark()
-            comp_b, b = _branch_literal(search, split_a[1], rng)
+            comp_b, b = _branch_literal(search, split_a[1], rng, lits[1])
             step(search, b, comp_b)
             search.undo(after_a)
-            comp_c, c = _branch_literal(search, split_a[1], rng)
-            got = step(search, c, comp_c)
+            comp_c, c = _branch_literal(search, split_a[1], rng, lits[2])
+            got = _split_clauses(search, step(search, c, comp_c))
             fresh = _Search(cnf)
             fresh.propagate(0, everything)
             fresh.propagate(a, comp_a)
@@ -398,6 +405,32 @@ class TestPropagate:
             ]
             clauses = [c for c in clauses if c or rng.random() < 0.1]
             _check_shared_state(CnfInstance(n, tuple(clauses)), rng)
+
+    # A decision that cannot split its component skips the search; these
+    # decide the literals a, b and c on each side of that line.
+    @pytest.mark.parametrize(
+        "clauses, lits",
+        [
+            # an input-order chain decided at its ends: one free variable
+            # of the satisfied clause is the one point
+            ([(-1, 2), (-2, 3), (-3, 4), (-4, 5), (-5, 6)], (-1, 6, -2)),
+            # a path decided in the middle: two points, two components
+            ([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)], (4, 1, 7)),
+            # a pendant clause whose shrink is the one point: its residual
+            # is refreshed, then undone
+            ([(1, 2, 3), (2, 4), (3, 4), (4, 5)], (-1, -5, 5)),
+            # a star decided at its hub: three shrunk clauses, the search runs
+            ([(1, 2, 3), (1, 4, 5), (1, 6, 7)], (-1, -2, 6)),
+            # one decision satisfies its component whole
+            ([(1, 2), (1, -3), (1, 1, 4), (5, 6), (-5, 6, 7)], (1, None, None)),
+            # a clause holding the decided literal twice is satisfied once
+            ([(1, 1, 2), (2, 3)], (1, None, None)),
+        ],
+        ids=["chain-ends", "path-middle", "pendant", "star-hub", "satisfied-whole", "repeated"],
+    )
+    def test_decisions_that_cannot_split(self, clauses, lits):
+        n = max(abs(l) for c in clauses for l in c)
+        _check_shared_state(CnfInstance(n, tuple(clauses)), random.Random(0), lits)
 
 
 class TestParseC2d:
