@@ -263,9 +263,12 @@ def cmd_wmc(args) -> int:
     text = Path(args.weights).read_text()
     value = weighted_model_count(circuit, WeightMap.from_text(text, exact=args.exact))
     if not args.exact:
-        # Floats overflow to inf and underflow to 0.0; neither is printed.
+        # Floats overflow to inf and underflow to a subnormal, which has lost
+        # precision, or to 0.0; none of these is printed.
         if not math.isfinite(value):
             raise ToolkitError(f"float WMC is {value}, out of float range; use --exact")
+        if 0 < abs(value) < sys.float_info.min:
+            raise ToolkitError(f"float WMC {value} is subnormal and has lost precision; use --exact")
         if not value and weighted_model_count(circuit, WeightMap.from_text(text, exact=True)):
             raise ToolkitError("float WMC underflows to 0.0 but is nonzero; use --exact")
     _print_in_full(value)

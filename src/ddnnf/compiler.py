@@ -156,46 +156,34 @@ def _explicit_order(cfg: CompileConfig, num_vars: int) -> tuple[int, ...] | None
 
 class _Search:
     """The search state one compile shares across all its branches. Built
-    once: the input clauses and, for each literal, the positions of the
-    clauses holding it, one entry per occurrence. Per clause, changed only
-    through the trail: the count of its literals not yet falsified, whether
-    it is satisfied, and its residual clause (its literals not falsified, in
-    place). ``undo`` restores the state of a ``mark``."""
+    once: for each literal, the positions of the clauses holding it, one
+    entry per occurrence. Per clause, changed only through the trail:
+    whether it is satisfied, and its residual clause, its literals not yet
+    falsified in place, kept current as literals are assigned. The trail is
+    two stacks: the positions of the clauses satisfied, and the residual
+    clauses replaced with their positions. ``undo`` restores the state of a
+    ``mark``."""
 
     def __init__(self, cnf: CnfInstance):
-        self.clauses = clauses = cnf.clauses
         # Lists for the variables in clauses only: memory follows the clauses.
         self.occ: dict[int, list[int]] = {}
-        for i, c in enumerate(clauses):
+        for i, c in enumerate(cnf.clauses):
             for l in c:
                 self.occ.setdefault(l, []).append(i)
                 self.occ.setdefault(-l, [])
-        self.true: set[int] = set()  # the literals that hold
-        self.count = list(map(len, clauses))
-        self.satisfied = bytearray(len(clauses))
-        self.residual = list(clauses)
-        # The trail, three stacks: each propagation's literal and units; the
-        # clauses changed, i for a count decremented and ~i for a clause
-        # satisfied; the residual clauses replaced, with their positions.
-        self.assigned: list[tuple[int, list[int]]] = []
+        self.satisfied = bytearray(len(cnf.clauses))
+        self.residual = list(cnf.clauses)
         self.changed: list[int] = []
         self.replaced: list[tuple[int, Clause]] = []
 
-    def mark(self) -> tuple[int, int, int]:
-        return len(self.assigned), len(self.changed), len(self.replaced)
+    def mark(self) -> tuple[int, int]:
+        return len(self.changed), len(self.replaced)
 
-    def undo(self, mark: tuple[int, int, int]) -> None:
-        assigned, changed, replaced = mark
-        true, count, satisfied, residual = self.true, self.count, self.satisfied, self.residual
-        for lit, units in self.assigned[assigned:]:
-            true.discard(lit)
-            true.difference_update(units)
-        del self.assigned[assigned:]
+    def undo(self, mark: tuple[int, int]) -> None:
+        changed, replaced = mark
+        satisfied, residual = self.satisfied, self.residual
         for i in self.changed[changed:]:
-            if i < 0:
-                satisfied[~i] = 0
-            else:
-                count[i] += 1
+            satisfied[i] = 0
         del self.changed[changed:]
         for i, c in reversed(self.replaced[replaced:]):
             residual[i] = c
@@ -208,39 +196,38 @@ class _Search:
         ``positions``; any other ``lit`` is decided on one component of an
         earlier propagation, which holds none.
 
-        The units (``lit`` not among them) come as conditioning on the first
-        unit clause in clause order, one at a time, gives them: a heap of
-        clause positions yields them in that order. A component is its
-        smallest variable and the ascending list of its clause positions,
-        their residual clauses brought up to date, in the order of those
+        Each literal assigned is taken out of the residual clauses that are
+        still open, one occurrence at a time, so a residual clause of one
+        literal is a unit and an empty one a conflict. The units (``lit``
+        not among them) come as conditioning on the first unit clause in
+        clause order, one at a time, gives them: a heap of clause positions
+        yields them in that order. A component is its smallest variable and
+        the ascending list of its clause positions, in the order of those
         variables."""
-        clauses, occ, true, count, satisfied, residual = (
-            self.clauses, self.occ, self.true, self.count, self.satisfied, self.residual)
-        changed = self.changed.append
-        start = len(self.changed)
+        occ, satisfied, residual = self.occ, self.satisfied, self.residual
+        changed, replaced = self.changed, self.replaced
+        start, shrunk = len(changed), len(replaced)
         units: list[int] = []
-        self.assigned.append((lit, units))
-        heap = [] if lit else [i for i in positions if count[i] < 2]  # ascending: a heap
-        if any(not count[i] for i in heap):
+        heap = [] if lit else [i for i in positions if len(residual[i]) < 2]  # ascending: a heap
+        if any(not residual[i] for i in heap):
             return None
-        flagged = 0  # the clauses this propagation satisfied
         u = lit
         while True:
             if u:
-                true.add(u)
                 for i in occ[u]:
                     if not satisfied[i]:
                         satisfied[i] = 1
-                        changed(~i)
-                        flagged += 1
+                        changed.append(i)
                 for i in occ[-u]:
                     if satisfied[i]:
                         continue
-                    n = count[i] = count[i] - 1
-                    changed(i)
-                    if n == 1:
+                    c = residual[i]
+                    replaced.append((i, c))
+                    k = c.index(-u)
+                    c = residual[i] = c[:k] + c[k + 1:]
+                    if len(c) == 1:
                         heappush(heap, i)
-                    elif not n:
+                    elif not c:
                         return None
             while heap:
                 i = heappop(heap)
@@ -248,15 +235,13 @@ class _Search:
                     break
             else:
                 break
-            for u in clauses[i]:
-                if -u not in true:
-                    break
+            u = residual[i][0]
             units.append(u)
 
         if lit:
             # Every clause this satisfied is in ``positions``, all open
             # before. If none is left, there is nothing to split.
-            if flagged == len(positions):
+            if len(changed) - start == len(positions):
                 return units, []
             # With no units, the clauses ``lit`` changed meet the rest only
             # at the clauses it shrank and at the free variables of the ones
@@ -265,19 +250,13 @@ class _Search:
             # leaves there, so the rest is still one component. ``points``
             # holds abs(lit) besides the points: a variable, or ~i for clause i.
             if not units:
-                points = {abs(lit)}
-                for i in self.changed[start:]:
-                    if i < 0:
-                        points.update(map(abs, residual[~i]))
-                    else:
-                        points.add(~i)
+                points = {~i for i, _ in replaced[shrunk:]}
+                points.add(abs(lit))
+                for i in changed[start:]:
                     if len(points) > 2:
                         break
-                else:
-                    for i in points:
-                        if i < 0:
-                            self.replaced.append((~i, residual[~i]))
-                            residual[~i] = tuple(l for l in residual[~i] if -l not in true)
+                    points.update(map(abs, residual[i]))
+                if len(points) <= 2:
                     comp = list(filterfalse(satisfied.__getitem__, positions))
                     low = min(map(abs, chain.from_iterable(map(residual.__getitem__, comp))))
                     return units, [(low, comp)]
@@ -294,11 +273,7 @@ class _Search:
             members = [start]
             low = maxsize
             for j in members:
-                c = residual[j]
-                if count[j] != len(c):
-                    self.replaced.append((j, c))
-                    c = residual[j] = tuple(l for l in c if -l not in true)
-                for l in c:
+                for l in residual[j]:
                     x = abs(l)
                     if x in seen:
                         continue

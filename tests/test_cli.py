@@ -349,6 +349,22 @@ class TestFloatWmcRange:
         code, out, _ = _run(capsys, "wmc", str(nnf), "--weights", str(weights), "--exact")
         assert (code, out) == (0, f"1/{2**n}\n")
 
+    def test_subnormal_exits_1(self, tmp_path, capsys):
+        # 0.3^615 is about 2.67e-322, below the smallest normal float: the
+        # float product is 0.78% off, though nonzero.
+        n = 615
+        nnf = tmp_path / "and.nnf"
+        nnf.write_text(
+            f"nnf {n + 1} {n} {n}\n" + "".join(f"L {v}\n" for v in range(1, n + 1))
+            + f"A {n} " + " ".join(map(str, range(n))) + "\n")
+        weights = tmp_path / "w.txt"
+        weights.write_text("".join(f"w {v} 0.3\nw -{v} 0.7\n" for v in range(1, n + 1)))
+        code, out, err = _run(capsys, "wmc", str(nnf), "--weights", str(weights))
+        assert (code, out) == (1, "")
+        assert "--exact" in err
+        code, out, _ = _run(capsys, "wmc", str(nnf), "--weights", str(weights), "--exact")
+        assert (code, out) == (0, f"{3**n}/{10**n}\n")
+
     def test_overflow_exits_1(self, tmp_path, capsys):
         nnf = tmp_path / "lit.nnf"
         nnf.write_text("nnf 1 0 1100\nL 1\n")

@@ -332,7 +332,7 @@ def _split_clauses(search, split):
 
 
 def _state(search):
-    return list(search.count), bytes(search.satisfied), list(search.residual), set(search.true)
+    return bytes(search.satisfied), list(search.residual)
 
 
 def _branch_literal(search, components, rng, lit=None):
@@ -353,8 +353,8 @@ def _check_shared_state(cnf, rng, lits=(None, None, None)):
     a's components undone again, then ``c`` on one of a's components (the
     literals of ``lits`` where given). Every step must match the reference
     on the component's residual CNF, ``c`` must leave what it leaves on a
-    fresh state, and undoing to the first mark must restore every counter,
-    flag and residual."""
+    fresh state, and undoing to the first mark must restore every flag and
+    residual."""
 
     def step(search, lit, comp):
         before = CnfInstance(cnf.num_vars, tuple(search.residual[i] for i in comp))
@@ -384,7 +384,7 @@ def _check_shared_state(cnf, rng, lits=(None, None, None)):
             assert _state(search) == _state(fresh)
     search.undo(first)
     assert _state(search) == _state(_Search(cnf))
-    assert search.mark() == (0, 0, 0)
+    assert search.mark() == (0, 0)
 
 
 class TestPropagate:
