@@ -13,7 +13,6 @@ from .bench import (
 from .circuit import (
     Circuit,
     Node,
-    check_decomposable,
     parse_nnf,
     size,
     stats_line,

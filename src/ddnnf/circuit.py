@@ -1,6 +1,6 @@
-"""d-DNNF circuits: a deduplicated DAG arena, the binary-node size metric,
-structural property checks, and the c2d and d4 text formats: c2d written
-and read, d4 read."""
+"""d-DNNF circuits: a deduplicated DAG arena that admits only decomposable
+ANDs, the binary-node size metric, and the c2d and d4 text formats: c2d
+written and read, d4 read."""
 
 from __future__ import annotations
 
@@ -128,14 +128,18 @@ class Circuit:
 
     Nodes live in an arena in topological order (children precede parents)
     and are structurally deduplicated: adding an AND/OR with the same child
-    multiset, or the same literal, returns the existing id. The arena never
-    simplifies; constant propagation belongs to the pruning pass. The declared
-    universe and its gate variables are the masks ``universe_mask`` and
-    ``tseitin_mask``; each argument is such a mask or a set of variables.
+    multiset, or the same literal, returns the existing id. An AND whose
+    children share a variable is refused, so every circuit is decomposable.
+    The arena never simplifies; constant propagation belongs to the pruning
+    pass. The declared universe and its gate variables are the masks
+    ``universe_mask`` and ``tseitin_mask``; each argument is such a mask or a
+    set of variables, and variables start at 1.
     """
 
     def __init__(self, universe, tseitin_vars=()):
         self.universe_mask = universe if isinstance(universe, int) else mask_of(universe)
+        if self.universe_mask & 1:
+            raise ValueError("variable 0 in universe")
         tseitin_mask = mask_within(tseitin_vars, self.universe_mask)
         if tseitin_mask is None:
             raise ValueError("tseitin_vars outside declared universe")
@@ -147,9 +151,6 @@ class Circuit:
         # cheapest call, since every pass over the circuit makes it per node.
         self.node = self._nodes.__getitem__
         self._dedup: dict[tuple, int] = {}
-        # ANDs whose children share a variable, ascending: check_decomposable
-        # looks only at these.
-        self._overlapping_ands: list[int] = []
 
     # Read-only set views of the two masks.
     universe = property(lambda self: frozenset(variables(self.universe_mask)))
@@ -188,12 +189,12 @@ class Circuit:
             raise ValueError(f"unknown child id {bad}")
         masks = [nodes[c].mask for c in kids]
         mask = reduce(or_, masks, 0)
+        # The masks of pairwise disjoint children add up to their union.
+        if kind == AND and sum(masks) != mask:
+            raise ValueError("AND children share a variable")
         # A decision picks one child, so the OR of nothing (false) has none.
         nodes.append(Node(kind, 0, kids, decision if kids else 0, mask))
         self._dedup[key] = nid
-        # The masks of pairwise disjoint children add up to their union.
-        if kind == AND and sum(masks) != mask:
-            self._overlapping_ands.append(nid)
         return nid
 
     def add_and(self, children) -> int:
@@ -237,7 +238,7 @@ class Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Metrics and checks
+# Metrics
 
 
 def size(circuit: Circuit) -> int:
@@ -254,18 +255,6 @@ def stats_line(circuit: Circuit) -> str:
         f"size={size(circuit)} nodes={len(reach)} edges={edges} "
         f"vars={circuit.universe_mask.bit_count()} tseitin={circuit.tseitin_mask.bit_count()}"
     )
-
-
-def check_decomposable(circuit: Circuit) -> tuple[bool, int | None]:
-    """True iff every AND's children mention pairwise-disjoint variables.
-    Returns the first violating node id otherwise. The arena records such
-    ANDs as it adds them, so this only looks for a reachable one."""
-    if circuit._overlapping_ands:
-        reach = set(circuit.reachable())
-        for nid in circuit._overlapping_ands:
-            if nid in reach:
-                return False, nid
-    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +293,13 @@ def write_nnf(circuit: Circuit) -> str:
 
 
 def parse_nnf(text: str, format: str = "c2d") -> Circuit:
-    """Parse a compiled circuit. Decomposability is verified on load;
-    determinism is assumed, not checked."""
+    """Parse a compiled circuit. An AND whose children share a variable is
+    refused, reachable or not; determinism is assumed, not checked."""
     if format == "c2d":
-        circuit = _parse_c2d(text)
-    elif format == "d4":
-        circuit = _parse_d4(text)
-    else:
-        raise ValueError(f"unknown NNF format {format!r}")
-    ok, bad = check_decomposable(circuit)
-    if not ok:
-        raise NnfFormatError(f"AND node {bad} has children sharing variables")
-    return circuit
+        return _parse_c2d(text)
+    if format == "d4":
+        return _parse_d4(text)
+    raise ValueError(f"unknown NNF format {format!r}")
 
 
 # First characters that make a line a node line at a glance: its first token
@@ -407,7 +391,10 @@ def _parse_c2d(text: str) -> Circuit:
             if not args or args[0] != len(args) - 1:
                 raise NnfFormatError(f"line {lineno}: AND child count mismatch")
             edges += args[0]
-            ids.append(circuit.add_and(child_ids(lineno, args[1:])))
+            try:
+                ids.append(circuit.add_and(child_ids(lineno, args[1:])))
+            except ValueError as exc:
+                raise NnfFormatError(f"line {lineno}: {exc}") from None
         elif tag == "O":
             if len(args) < 2 or args[1] != len(args) - 2:
                 raise NnfFormatError(f"line {lineno}: OR child count mismatch")
@@ -475,6 +462,15 @@ def _parse_d4(text: str) -> Circuit:
     built: dict[int, int] = {}
     in_progress: set[int] = set()
 
+    def conjoin(nid: int, kids: list[int]) -> int:
+        """The AND of ``kids``, built for d4 node ``nid``: a refusal names it."""
+        if len(kids) == 1:
+            return kids[0]
+        try:
+            return circuit.add_and(kids)
+        except ValueError as exc:
+            raise NnfFormatError(f"node {nid}: {exc}") from None
+
     # A generator run by _run, so a deep circuit needs no Python recursion:
     # ``yield build(dst)`` gives the id of node ``dst``.
     def build(nid: int):
@@ -492,7 +488,7 @@ def _parse_d4(text: str) -> Circuit:
                 conj = [circuit.add_literal(l) for l in lits]
                 if kinds[dst] != "t":  # an edge into true is its guards alone
                     conj.append((yield build(dst)))
-                parts.append(conj[0] if len(conj) == 1 else circuit.add_and(conj))
+                parts.append(conjoin(nid, conj))
             result = circuit.add_or(parts)
         else:  # t has no edges: the AND of nothing
             flat: list[int] = []
@@ -500,7 +496,7 @@ def _parse_d4(text: str) -> Circuit:
                 flat.extend(circuit.add_literal(l) for l in lits)
                 if kinds[dst] != "t":  # true adds nothing to an AND
                     flat.append((yield build(dst)))
-            result = flat[0] if len(flat) == 1 else circuit.add_and(flat)
+            result = conjoin(nid, flat)
         in_progress.discard(nid)
         built[nid] = result
         return result

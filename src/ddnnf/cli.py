@@ -18,7 +18,6 @@ from . import formula as fm
 from .circuit import (
     Circuit,
     NnfFormatError,
-    check_decomposable,
     mask_within,
     parse_nnf,
     stats_line,
@@ -119,7 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=("overlap", "noisy_or", "mutex"))
     p.add_argument("--sizes", required=True, type=_sizes, help="e.g. '2..10' or '2,4,8'")
     p.add_argument("--seed", type=int, default=0, help="instance seed (mutex family)")
-    p.add_argument("--parents", type=int, default=2, help="parents per node (mutex family)")
+    p.add_argument("--parents", type=int, default=2, choices=range(4),
+                   help="parents per node (mutex family)")
     _add_order_option(p, "dynamic")
     p.add_argument("--max-decisions", type=_budget)
     p.add_argument("--no-verify", action="store_true", help="skip oracle verification")
@@ -168,8 +168,9 @@ def _sizes(text: str) -> list[int]:
                  else [int(t) for t in text.replace(",", " ").split()])
     except ValueError:
         sizes = []
-    if not sizes:
-        raise argparse.ArgumentTypeError(f"expected LO..HI with LO <= HI, or a list, got {text!r}")
+    if not sizes or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected LO..HI with 1 <= LO <= HI, or a list of sizes >= 1, got {text!r}")
     return sizes
 
 
@@ -338,20 +339,16 @@ def _verify_cnf(cnf: CnfInstance, cfg: CompileConfig, reference=None, names=None
 def _verify_circuit(tables: CircuitTables, reference=None, names=None) -> list[tuple[str, bool]]:
     circuit = tables.circuit
     flags = artifact_flags(circuit)
-    pruned, report = prune(circuit)
+    pruned, _ = prune(circuit)
     pruned_tables = CircuitTables(pruned)
     results = [
-        ("decomposable", check_decomposable(circuit)[0]),
         ("deterministic (brute force)", tables.deterministic()),
         ("artifact flags match tautology oracle",
          all((nid in flags) == tables.tautology_after_exists(circuit.tseitin_mask, nid)
              for nid in circuit.reachable())),
         ("count preserved by pruning", model_count(pruned) == model_count(circuit)),
-        ("pruned circuit decomposable", check_decomposable(pruned)[0]),
         ("pruned circuit deterministic (brute force)", pruned_tables.deterministic()),
         ("no tautology left after pruning", not residual_artifacts(pruned)),
-        ("sizes monotone",
-         report.size_after_artifacts <= report.size_after_exists <= report.size_before),
     ]
     if reference is not None:
         results.append(("pruned circuit projects to the source formula",

@@ -12,11 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 
-from .circuit import AND, OR, Circuit, check_decomposable, mask_of, variables
+from .circuit import AND, OR, Circuit, mask_of, variables
 from .errors import ToolkitError
-
-class NonDecomposableError(ToolkitError):
-    pass
 
 
 class MissingWeightError(ToolkitError):
@@ -94,7 +91,6 @@ def weighted_model_count(circuit: Circuit, weights: WeightMap):
     product of exactly that many weights. The result is then a Fraction, also
     when D is 1; a map of ints alone gives an int.
     """
-    _require_decomposable(circuit)
     if circuit.root is None:
         raise ValueError("circuit has no root")
     denominator = _common_denominator(weights)
@@ -183,9 +179,3 @@ def _gap_factors(universe: int, weights: WeightMap):
         return math.prod(map(sums.get, variables(gap), repeat(unlisted)))
 
     return gap_factor
-
-
-def _require_decomposable(circuit: Circuit) -> None:
-    ok, bad = check_decomposable(circuit)
-    if not ok:
-        raise NonDecomposableError(f"AND node {bad} has children sharing variables")

@@ -5,7 +5,6 @@ import pytest
 from ddnnf import (
     Circuit,
     CircuitTables,
-    check_decomposable,
     model_count,
     parse_dimacs,
     parse_nnf,
@@ -92,6 +91,14 @@ class TestArena:
         with pytest.raises(ValueError):
             Circuit({1}, tseitin_vars={2})
 
+    @pytest.mark.parametrize("universe", [{0, 1}, {0}, 0b111, 0b1],
+                             ids=["set", "set_of_zero", "mask", "mask_of_zero"])
+    def test_universe_refuses_variable_0(self, universe):
+        # Variables start at 1: a universe holding 0 would be written as a
+        # directive the reader refuses.
+        with pytest.raises(ValueError, match="^variable 0 in universe$"):
+            Circuit(universe)
+
 
 class TestSize:
     def test_ternary_and_counts_two(self):
@@ -118,17 +125,34 @@ class TestSize:
 
 class TestChecks:
     def test_non_decomposable(self):
-        c = _and_of_literals(1, -1, universe={1})
-        ok, bad = check_decomposable(c)
-        assert not ok and bad is not None
+        with pytest.raises(ValueError, match="^AND children share a variable$"):
+            _and_of_literals(1, -1, universe={1})
+        c = Circuit({1, 2, 3})
+        ab = c.add_and([c.add_literal(1), c.add_literal(2)])
+        with pytest.raises(ValueError):
+            c.add_and([ab, c.add_literal(-2)])  # shared below the children
+        with pytest.raises(ValueError):
+            c.add_and([ab, ab])  # one child twice
+
+    def test_refused_and_leaves_the_arena_as_it_was(self):
+        c = Circuit({1, 2})
+        x, nx = c.add_literal(1), c.add_literal(-1)
+        dedup = dict(c._dedup)
+        for _ in range(2):  # refused again, not found in the table
+            with pytest.raises(ValueError):
+                c.add_and([x, nx])
+            assert len(c) == 2 and c._dedup == dedup
+        assert c.add_literal(2) == 2
+        assert c.add_and([x, 2]) == 3
 
     def test_decomposable(self):
-        ok, bad = check_decomposable(_and_of_literals(1, 2))
-        assert ok and bad is None
+        c = _and_of_literals(1, 2)
+        assert len(c) == 3 and size(c) == 1
 
     def test_compile_outputs_decomposable(self):
+        # The arena refuses any other AND, so compiling raises nothing.
         circuit = compile(parse_dimacs(OVERLAP_DIMACS))
-        assert check_decomposable(circuit)[0]
+        assert model_count(circuit) == 7  # (a & b) | (c & d); gates 5 and 6 are defined
 
     def test_deterministic_oracle(self):
         c = Circuit({1, 2})

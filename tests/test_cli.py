@@ -410,7 +410,7 @@ class TestVerify:
         assert "FAIL" not in out
         assert "ok model bijection (formula vs encoded CNF)" in out
         assert "ok no tautology left after pruning" in out
-        assert len(out.splitlines()) == 12 and err == ""
+        assert len(out.splitlines()) == 9 and err == ""
 
     def test_residual_tautology_is_a_fail_line(self, tmp_path, capsys):
         # Gate 2 is not defined by variable 1: (x1 & x2) | -x1 prunes to
@@ -420,7 +420,7 @@ class TestVerify:
         code, out, err = _run(capsys, "verify", str(path))
         assert code == 1
         assert "FAIL no tautology left after pruning" in out
-        assert len(out.splitlines()) == 8
+        assert len(out.splitlines()) == 5
         assert err == ""
 
     def test_cnf_input(self, workspace, capsys):
@@ -479,6 +479,25 @@ class TestBench:
         assert exc.value.code == 2
         assert "--sizes" in capsys.readouterr().err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["overlap", "--sizes", "0"], "--sizes"),
+            (["overlap", "--sizes", "0..2"], "--sizes"),
+            (["overlap", "--sizes", "-3"], "--sizes"),
+            (["overlap", "--sizes", "2,0"], "--sizes"),
+            (["mutex", "--sizes", "2", "--parents", "7"], "--parents"),
+            (["mutex", "--sizes", "2", "--parents", "-1"], "--parents"),
+        ],
+        ids=["zero", "range_from_zero", "negative", "list_with_zero", "parents_7",
+             "parents_negative"],
+    )
+    def test_out_of_range_values_are_usage_errors(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--no-verify", "--family", *argv])
+        assert exc.value.code == 2
+        assert f"argument {option}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

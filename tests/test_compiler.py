@@ -15,7 +15,6 @@ from ddnnf import (
     CircuitTables,
     CnfInstance,
     tseitin_transform,
-    check_decomposable,
     model_count,
     parse_dimacs,
     parse_nnf,
@@ -95,7 +94,6 @@ class TestCompile:
             ][i % 3]
             circuit = compile(cnf, cfg)
             assert enumerate_models(circuit).models == enumerate_models(cnf).models
-            assert check_decomposable(circuit)[0]
 
     @given(cnf_strategy(max_vars=7, max_clauses=12))
     @settings(max_examples=60, deadline=None)
@@ -480,6 +478,12 @@ class TestParseC2d:
         with pytest.raises(NnfFormatError):
             parse_nnf("nnf 3 2 1\nL 1\nL -1\nA 2 0 1")
 
+    def test_unreachable_non_decomposable_rejected(self):
+        # The root (line 5) cannot reach the AND of line 4; the arena refuses
+        # it all the same, and the reader names its line.
+        with pytest.raises(NnfFormatError, match="^line 4: AND children share a variable$"):
+            parse_nnf("nnf 4 2 2\nL 1\nL -1\nA 2 0 1\nL 2")
+
     # Messages and line numbers recorded from the reader that kept every
     # line's tokens before building any node.
     @pytest.mark.parametrize(
@@ -626,6 +630,18 @@ class TestParseD4:
     )
     def test_edge_from_leaf_refused(self, text, message):
         with pytest.raises(NnfFormatError, match=f"^{message}$"):
+            parse_nnf(text, format="d4")
+
+    @pytest.mark.parametrize(
+        "text, node",
+        [
+            ("1 a 0\n2 t 0\n1 2 1 0\n1 2 -1 0", 1),  # two edges of an AND node
+            ("1 o 0\n2 a 0\n3 t 0\n1 2 1 0\n2 3 1 0", 1),  # a guard and its edge's target
+        ],
+        ids=["and_node", "guarded_edge"],
+    )
+    def test_non_decomposable_rejected(self, text, node):
+        with pytest.raises(NnfFormatError, match=f"^node {node}: AND children share a variable$"):
             parse_nnf(text, format="d4")
 
     def test_unknown_format(self):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -168,8 +169,9 @@ def _shared_formula(rng: random.Random, num_vars: int, depth: int, pool: list):
 
 
 def _sparse_circuit(rng: random.Random) -> Circuit:
-    """Random circuit, decomposable or not, over a few variables drawn from
-    1..10^4; some universe variables are never mentioned."""
+    """Random decomposable circuit over a few variables drawn from 1..10^4;
+    some universe variables are never mentioned. Children that share a
+    variable are joined by an OR, as the arena refuses their AND."""
     universe = sorted(rng.sample(range(1, 10**4), rng.randint(1, 7)))
     gates = rng.sample(universe, rng.randint(0, len(universe) // 2))
     c = Circuit(universe, tseitin_vars=gates)
@@ -178,7 +180,8 @@ def _sparse_circuit(rng: random.Random) -> Circuit:
     nodes += [c.add_and(()), c.add_or(())][: rng.randrange(3)]
     for _ in range(rng.randint(0, 8)):
         kids = rng.sample(nodes, rng.randint(1, min(3, len(nodes))))
-        nodes.append(c.add_and(kids) if rng.random() < 0.5 else c.add_or(kids))
+        disjoint = not any(c.node(a).mask & c.node(b).mask for a, b in combinations(kids, 2))
+        nodes.append(c.add_and(kids) if rng.random() < 0.5 and disjoint else c.add_or(kids))
     c.set_root(nodes[-1])
     return c
 

@@ -7,7 +7,6 @@ from ddnnf import (
     Circuit,
     CircuitTables,
     CompileConfig,
-    check_decomposable,
     compile_cnf,
     detect_tseitin_vars,
     model_count,
@@ -188,7 +187,6 @@ class TestPrune:
             circuit = compile_cnf(out.cnf, CompileConfig(order="dynamic"))
             pruned, report = prune(circuit)
             assert residual_artifacts(pruned) == []
-            assert check_decomposable(pruned)[0]
             assert CircuitTables(pruned).deterministic()
             assert report.size_after_artifacts <= report.size_after_exists
             assert report.size_after_exists <= report.size_before
