@@ -150,7 +150,10 @@ class Circuit:
         # node(nid) is the Node with that id: the list's own lookup, the
         # cheapest call, since every pass over the circuit makes it per node.
         self.node = self._nodes.__getitem__
-        self._dedup: dict[tuple, int] = {}
+        # The id of each literal's node, keyed by the literal: a known
+        # literal costs one lookup and no key tuple. Read only outside.
+        self.literal_ids: dict[int, int] = {}
+        self._dedup: dict[tuple, int] = {}  # (kind, children) -> id of an AND or OR
 
     # Read-only set views of the two masks.
     universe = property(lambda self: frozenset(variables(self.universe_mask)))
@@ -162,8 +165,7 @@ class Circuit:
     # Every lookup comes before any Node is built: most calls find the node.
 
     def add_literal(self, lit: int) -> int:
-        key = (LIT, lit)
-        nid = self._dedup.get(key)
+        nid = self.literal_ids.get(lit)
         if nid is not None:
             return nid
         # Shifting the universe instead would copy it once per literal.
@@ -173,7 +175,7 @@ class Circuit:
             raise ValueError(f"literal {lit} outside universe")
         nid = len(self._nodes)
         self._nodes.append(Node(LIT, lit=lit, mask=mask))
-        self._dedup[key] = nid
+        self.literal_ids[lit] = nid
         return nid
 
     def _add_internal(self, kind: str, children, decision: int = 0) -> int:
@@ -272,7 +274,8 @@ def write_nnf(circuit: Circuit) -> str:
     if circuit.root is None:
         raise ValueError("circuit has no root")
     reach = circuit.reachable()
-    position = {nid: i for i, nid in enumerate(reach)}
+    # Each node's position as text, made once per node, not once per edge.
+    position = dict(zip(reach, map(str, range(len(reach)))))
     universe, gates = circuit.universe_mask, circuit.tseitin_mask
     num_vars = max(universe.bit_length() - 1, 0)
     edges = sum(len(circuit.node(n).children) for n in reach)
@@ -287,7 +290,7 @@ def write_nnf(circuit: Circuit) -> str:
             lines.append(f"L {node.lit}")
         else:
             tag = "A" if node.kind == AND else f"O {node.decision}"
-            ids = (str(position[c]) for c in node.children)
+            ids = map(position.__getitem__, node.children)
             lines.append(" ".join([tag, str(len(node.children)), *ids]))
     return "\n".join(lines) + "\n"
 

@@ -138,7 +138,7 @@ def _add_order_option(p: argparse.ArgumentParser, default: str) -> None:
     p.add_argument("--order", type=_branch_order, default=default, dest="config",
                    metavar="ORDER", help="branch order: input, dynamic (most occurrences "
                    "first), random[:SEED] (seed 0 when omitted) or a comma-separated "
-                   f"variable list (default: {default})")
+                   f"list of distinct variables (default: {default})")
 
 
 def _branch_order(text: str) -> CompileConfig:
@@ -148,11 +148,16 @@ def _branch_order(text: str) -> CompileConfig:
             return CompileConfig(order=text)
         if kind == "random":
             return CompileConfig(order="random", seed=int(seed) if colon else 0)
-        return CompileConfig(order=tuple(int(v) for v in text.split(",")))
+        order = tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected input, dynamic, random[:SEED] or a comma-separated "
-            f"variable list, got {text!r}") from None
+        order = ()
+    # A variable below 1 or named twice is wrong whatever the CNF; one beyond
+    # its header is checked by compile.
+    if order and min(order) >= 1 and len(set(order)) == len(order):
+        return CompileConfig(order=order)
+    raise argparse.ArgumentTypeError(
+        f"expected input, dynamic, random[:SEED] or a comma-separated list of "
+        f"distinct variables from 1, got {text!r}")
 
 
 def _budget(text: str) -> int:

@@ -51,6 +51,7 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
     circuit = Circuit(universe=range_mask(cnf.num_vars), tseitin_vars=cnf.tseitin_vars)
     search = _Search(cnf)
     residual = search.residual
+    literal_id = circuit.literal_ids.get
     # Key hash -> (the key as a tuple, node id); a colliding key takes the
     # next free hash. Kept frozensets would nearly triple a compile's memory.
     cache: dict[int, tuple[tuple[Clause, ...], int]] = {}
@@ -91,7 +92,10 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
         if split is None:
             return circuit.add_or(())  # false
         units, components = split
-        literals = list(map(circuit.add_literal, units))
+        # Most units are known literals: one table lookup each. Id 0 is a
+        # node, so only None is a miss.
+        literals = [nid if (nid := literal_id(u)) is not None else circuit.add_literal(u)
+                    for u in units]
         parts = []
         for low, comp in components:
             # The set of the distinct residual clauses: keys are equal iff
@@ -223,11 +227,13 @@ class _Search:
                         continue
                     c = residual[i]
                     replaced.append((i, c))
+                    if len(c) == 2:  # the other literal is left, a unit
+                        residual[i] = (c[1],) if c[0] == -u else (c[0],)
+                        heappush(heap, i)
+                        continue
                     k = c.index(-u)
                     c = residual[i] = c[:k] + c[k + 1:]
-                    if len(c) == 1:
-                        heappush(heap, i)
-                    elif not c:
+                    if not c:
                         return None
             while heap:
                 i = heappop(heap)

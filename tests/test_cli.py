@@ -225,6 +225,10 @@ class TestCompilePruneCount:
         ("dynamic:5", None),
         ("dyn", None),
         ("", None),
+        ("0", None),
+        ("-1", None),
+        ("2,2", None),
+        ("3,0,1", None),
     ])
     def test_order_option(self, workspace, capsys, value, config):
         # One --order value is one CompileConfig: the same bytes as the
@@ -242,6 +246,15 @@ class TestCompilePruneCount:
         cnf = replace(parse_dimacs((workspace / "f.cnf").read_text()),
                       tseitin_vars=parse_tvars((workspace / "f.tvars").read_text()))
         assert (workspace / "f.nnf").read_text() == write_nnf(compile_cnf(cnf, config))
+
+    def test_order_variable_beyond_the_cnf_is_an_error(self, tmp_path, capsys):
+        # Whether a variable is in range depends on the input: exit 1.
+        cnf = tmp_path / "a.cnf"
+        cnf.write_text("p cnf 3 2\n1 2 0\n-2 3 0\n")
+        code, _, err = _run(capsys, "compile", str(cnf), "--order", "5")
+        assert code == 1
+        assert err == "error: order variable 5 out of range 1..3\n"
+        assert not (tmp_path / "a.nnf").exists()
 
     def test_max_decisions_below_zero_is_usage_error(self, tmp_path, capsys):
         cnf = tmp_path / "u.cnf"

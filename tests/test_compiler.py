@@ -430,6 +430,37 @@ class TestPropagate:
         n = max(abs(l) for c in clauses for l in c)
         _check_shared_state(CnfInstance(n, tuple(clauses)), random.Random(0), lits)
 
+    # A falsified literal leaves a binary residual's other literal as a
+    # unit; each occurrence entry removes one literal.
+    @pytest.mark.parametrize(
+        "clauses, lits",
+        [
+            # deciding 1 leaves the units 2 and -2
+            ([(-1, 2), (-1, -2)], (1, None, None)),
+            # the units 2 and 3 empty the clause deciding 1 left as -3
+            ([(-1, 2), (-2, 3), (-3, -1)], (1, None, None)),
+            # deciding -2 leaves (2,) from its first occurrence, then () from
+            # its second
+            ([(2, 2), (1, 2)], (-2, None, None)),
+            # the same reached through the unit -2
+            ([(-1, -2), (2, 2), (1, 3)], (1, None, None)),
+            # deciding -1 leaves the units 2 and 3; 2 satisfies the clause
+            # holding it twice once
+            ([(2, 2), (1, 2), (1, 3), (-3, 4)], (-1, None, None)),
+        ],
+        ids=["conflict", "conflict-in-chain", "repeated-decided", "repeated-unit", "repeated-sat"],
+    )
+    def test_binary_residuals(self, clauses, lits):
+        n = max(abs(l) for c in clauses for l in c)
+        _check_shared_state(CnfInstance(n, tuple(clauses)), random.Random(0), lits)
+
+    @pytest.mark.parametrize("order", ["input", "dynamic", "random"])
+    def test_all_binary_clauses_unsatisfiable(self, order):
+        # Every decision ends in a conflict found through binary residuals.
+        cnf = parse_dimacs("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
+        circuit = compile(cnf, CompileConfig(order=order))
+        assert model_count(circuit) == 0
+
 
 class TestParseC2d:
     def test_two_literal_conjunction(self):
