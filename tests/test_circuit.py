@@ -52,33 +52,6 @@ class TestArena:
         with pytest.raises(ValueError):
             c.add_literal(2)
 
-
-class TestLiteralTable:
-    def test_known_literal_adds_no_node(self):
-        c = Circuit({1, 2})
-        x, nx = c.add_literal(1), c.add_literal(-1)
-        assert (x, nx) == (0, 1)  # id 0 is a node like any other
-        assert c.add_literal(1) == x and c.add_literal(-1) == nx
-        assert len(c) == 2
-        assert c.literal_ids == {1: x, -1: nx}
-
-    @pytest.mark.parametrize("lit", [0, 2, -2, 4, 2**70])  # 2: the gap in {1, 3}
-    def test_refused_literal_leaves_arena_and_table(self, lit):
-        c = Circuit({1, 3})
-        x = c.add_literal(1)
-        for _ in range(2):  # refused again, not found in the table
-            with pytest.raises(ValueError, match=f"^literal {lit} outside universe$"):
-                c.add_literal(lit)
-            assert len(c) == 1 and c.literal_ids == {1: x}
-        assert c.add_literal(-3) == 1
-
-    def test_c2d_literal_lines_share_one_node(self):
-        circuit = parse_nnf("nnf 4 2 2\nL 1\nL 2\nL 1\nO 0 2 1 2\n")
-        assert len(circuit) == 3  # the second L 1 is the first one's node
-        assert circuit.literal_ids == {1: 0, 2: 1}
-        assert circuit.node(circuit.root).children == (0, 1)
-        assert write_nnf(circuit) == "nnf 3 2 2\nL 1\nL 2\nO 0 2 0 1\n"
-
     def test_varsets_cached_correctly(self):
         c = Circuit({1, 2, 3})
         lit = c.add_literal(1)
@@ -125,6 +98,33 @@ class TestLiteralTable:
         # directive the reader refuses.
         with pytest.raises(ValueError, match="^variable 0 in universe$"):
             Circuit(universe)
+
+
+class TestLiteralTable:
+    def test_known_literal_adds_no_node(self):
+        c = Circuit({1, 2})
+        x, nx = c.add_literal(1), c.add_literal(-1)
+        assert (x, nx) == (0, 1)  # id 0 is a node like any other
+        assert c.add_literal(1) == x and c.add_literal(-1) == nx
+        assert len(c) == 2
+        assert c.literal_ids == {1: x, -1: nx}
+
+    @pytest.mark.parametrize("lit", [0, 2, -2, 4, 2**70])  # 2: the gap in {1, 3}
+    def test_refused_literal_leaves_arena_and_table(self, lit):
+        c = Circuit({1, 3})
+        x = c.add_literal(1)
+        for _ in range(2):  # refused again, not found in the table
+            with pytest.raises(ValueError, match=f"^literal {lit} outside universe$"):
+                c.add_literal(lit)
+            assert len(c) == 1 and c.literal_ids == {1: x}
+        assert c.add_literal(-3) == 1
+
+    def test_c2d_literal_lines_share_one_node(self):
+        circuit = parse_nnf("nnf 4 2 2\nL 1\nL 2\nL 1\nO 0 2 1 2\n")
+        assert len(circuit) == 3  # the second L 1 is the first one's node
+        assert circuit.literal_ids == {1: 0, 2: 1}
+        assert circuit.node(circuit.root).children == (0, 1)
+        assert write_nnf(circuit) == "nnf 3 2 2\nL 1\nL 2\nO 0 2 0 1\n"
 
 
 class TestSize:
