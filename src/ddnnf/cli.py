@@ -137,27 +137,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_order_option(p: argparse.ArgumentParser, default: str) -> None:
     p.add_argument("--order", type=_branch_order, default=default, dest="config",
                    metavar="ORDER", help="branch order: input, dynamic (most occurrences "
-                   "first), random[:SEED] (seed 0 when omitted) or a comma-separated "
-                   f"list of distinct variables (default: {default})")
+                   "first) or a comma-separated list of distinct variables from 1, which "
+                   "is how a shuffled order is passed; any other value is refused "
+                   f"(default: {default})")
 
 
 def _branch_order(text: str) -> CompileConfig:
-    kind, colon, seed = text.partition(":")
+    # CompileConfig refuses what is wrong whatever the CNF; a variable beyond
+    # its header is checked by compile.
     try:
-        if text in ("input", "dynamic"):
-            return CompileConfig(order=text)
-        if kind == "random":
-            return CompileConfig(order="random", seed=int(seed) if colon else 0)
         order = tuple(int(v) for v in text.split(","))
     except ValueError:
-        order = ()
-    # A variable below 1 or named twice is wrong whatever the CNF; one beyond
-    # its header is checked by compile.
-    if order and min(order) >= 1 and len(set(order)) == len(order):
+        order = text
+    try:
         return CompileConfig(order=order)
-    raise argparse.ArgumentTypeError(
-        f"expected input, dynamic, random[:SEED] or a comma-separated list of "
-        f"distinct variables from 1, got {text!r}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"{exc} (expected input, dynamic or a comma-separated list of distinct variables)")
 
 
 def _budget(text: str) -> int:

@@ -3,7 +3,6 @@ component decomposition, and component caching."""
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -19,19 +18,33 @@ class CompileBudgetError(ToolkitError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompileConfig:
-    """Branching behaviour of the compiler.
+    """Branching behaviour of the compiler, checked when it is built.
 
     ``order`` is ``"input"`` (smallest variable first), ``"dynamic"`` (most
-    clause occurrences first), ``"random"`` (a seed-shuffled fixed order), or
-    an explicit variable list. An explicit order may cover a subset of the
-    variables; the rest fall back to input order.
+    clause occurrences first), or an explicit list of distinct variables
+    from 1, kept as a tuple. An explicit order may cover a subset of the
+    variables; the rest fall back to input order. Any other order raises
+    ``ValueError`` here; whether its variables lie within a CNF's header is
+    checked by ``compile``.
     """
 
-    order: str | tuple[int, ...] | list[int] = "input"
-    seed: int = 0
+    order: str | tuple[int, ...] = "input"
     max_decisions: int | None = None
+
+    def __post_init__(self):
+        order = self.order
+        if not isinstance(order, (tuple, list)):
+            if order not in ("input", "dynamic"):
+                raise ValueError(f"unknown branch order {order!r}")
+            return
+        for v in order:
+            if not isinstance(v, int) or v < 1:
+                raise ValueError(f"order entry {v!r} is not a variable from 1")
+        if len(set(order)) != len(order):
+            raise ValueError("explicit order contains duplicates")
+        object.__setattr__(self, "order", tuple(order))
 
 
 def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
@@ -46,8 +59,12 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
     shared search state, undone when the branch returns.
     """
     cfg = config or CompileConfig()
-    explicit = _explicit_order(cfg, cnf.num_vars)
-    rank = None if explicit is None else {v: i for i, v in enumerate(explicit)}
+    rank = None
+    if isinstance(cfg.order, tuple):
+        for v in cfg.order:
+            if v > cnf.num_vars:
+                raise ValueError(f"order variable {v} out of range 1..{cnf.num_vars}")
+        rank = {v: i for i, v in enumerate(cfg.order)}
     circuit = Circuit(universe=range_mask(cnf.num_vars), tseitin_vars=cnf.tseitin_vars)
     search = _Search(cnf)
     residual = search.residual
@@ -138,24 +155,6 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
         # circuit now, not when the cycle collector next runs.
         del rec
     return circuit
-
-
-def _explicit_order(cfg: CompileConfig, num_vars: int) -> tuple[int, ...] | None:
-    if cfg.order == "random":
-        order = list(range(1, num_vars + 1))
-        random.Random(cfg.seed).shuffle(order)
-        return tuple(order)
-    if isinstance(cfg.order, (tuple, list)):
-        order = tuple(cfg.order)
-        if len(set(order)) != len(order):
-            raise ValueError("explicit order contains duplicates")
-        for v in order:
-            if not 1 <= v <= num_vars:
-                raise ValueError(f"order variable {v} out of range 1..{num_vars}")
-        return order
-    if cfg.order in ("input", "dynamic"):
-        return None
-    raise ValueError(f"unknown branch order {cfg.order!r}")
 
 
 class _Search:

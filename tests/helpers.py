@@ -45,6 +45,15 @@ def random_formula(rng: random.Random, max_vars: int = 5, depth: int = 3):
     return conj(parts) if kind == 1 else disj(parts)
 
 
+def shuffled_order(num_vars: int, seed: int = 0) -> tuple[int, ...]:
+    """The variables 1..num_vars as ``random.Random(seed)`` shuffles them, as
+    an explicit compile order. The pinned outputs named ``random`` were
+    recorded in this order."""
+    order = list(range(1, num_vars + 1))
+    random.Random(seed).shuffle(order)
+    return tuple(order)
+
+
 def random_cnf(
     rng: random.Random,
     max_vars: int = 10,

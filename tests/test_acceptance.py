@@ -34,7 +34,7 @@ from ddnnf.bench import gen_mutex_cpt, gen_noisy_or, gen_overlapping_disjunction
 from ddnnf.oracle import check_exists_equiv, enumerate_models
 from ddnnf.pruning import artifact_flags, exists_quantify, prune, residual_artifacts
 
-from helpers import random_cnf
+from helpers import random_cnf, shuffled_order
 
 RANDOM_CNF_COUNT = 500
 RANDOM_CNF_MAX_VARS = 10
@@ -62,11 +62,11 @@ class PipelineRecord:
     report: PruneReport
 
 
-def _configs():
+def _configs(num_vars):
     return [
         CompileConfig(order="input"),
         CompileConfig(order="dynamic"),
-        CompileConfig(order="random", seed=101),
+        CompileConfig(order=shuffled_order(num_vars, 101)),
     ]
 
 
@@ -86,7 +86,6 @@ def _build_record(name, cnf, cfg, source=None, names=None) -> PipelineRecord:
 def corpus() -> list[PipelineRecord]:
     records = []
     rng = random.Random(2024)
-    configs = _configs()
     for i in range(RANDOM_CNF_COUNT):
         cnf = random_cnf(
             rng,
@@ -95,7 +94,7 @@ def corpus() -> list[PipelineRecord]:
             gate_prob=0.9 if i % 2 else 0.0,
         )
         cnf = replace(cnf, tseitin_vars=detect_tseitin_vars(cnf))
-        records.append(_build_record(f"random_{i}", cnf, configs[i % 3]))
+        records.append(_build_record(f"random_{i}", cnf, _configs(cnf.num_vars)[i % 3]))
 
     generated = []
     for n in range(1, 5):
@@ -110,7 +109,7 @@ def corpus() -> list[PipelineRecord]:
         out = tseitin_transform(f)
         if out.cnf.num_vars > GENERATOR_MAX_VARS:
             continue
-        for ci, cfg in enumerate(_configs()):
+        for ci, cfg in enumerate(_configs(out.cnf.num_vars)):
             records.append(
                 _build_record(f"{name}_cfg{ci}", out.cnf, cfg, source=f, names=out.names())
             )

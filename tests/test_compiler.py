@@ -5,7 +5,7 @@ import sys
 import tracemalloc
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +34,7 @@ from ddnnf.bench import gen_mutex_cpt, gen_noisy_or, gen_overlapping_disjunction
 from ddnnf.oracle import enumerate_models
 from ddnnf.pruning import exists_quantify
 
-from helpers import cnf_strategy, condition, random_cnf, split_components
+from helpers import cnf_strategy, condition, random_cnf, shuffled_order, split_components
 from test_cnf import OVERLAP_DIMACS
 
 
@@ -76,7 +76,7 @@ class TestCompile:
         configs = [
             CompileConfig(order="input"),
             CompileConfig(order="dynamic"),
-            CompileConfig(order="random", seed=3),
+            CompileConfig(order=shuffled_order(cnf.num_vars, 3)),
             CompileConfig(order=[6, 2, 4]),
         ]
         for cfg in configs:
@@ -90,7 +90,7 @@ class TestCompile:
             cfg = [
                 CompileConfig(order="input"),
                 CompileConfig(order="dynamic"),
-                CompileConfig(order="random", seed=i),
+                CompileConfig(order=shuffled_order(cnf.num_vars, i)),
             ][i % 3]
             circuit = compile(cnf, cfg)
             assert enumerate_models(circuit).models == enumerate_models(cnf).models
@@ -107,13 +107,18 @@ class TestCompile:
             compile(cnf, CompileConfig(max_decisions=1))
 
     def test_explicit_order_validation(self):
-        cnf = parse_dimacs(OVERLAP_DIMACS)
-        with pytest.raises(ValueError):
-            compile(cnf, CompileConfig(order=[1, 1]))
-        with pytest.raises(ValueError):
-            compile(cnf, CompileConfig(order=[99]))
+        # Wrong whatever the CNF: refused when the config is built.
+        for order in ([1, 1], "random", "dyn", [0], [-1], [2, 2]):
+            with pytest.raises(ValueError):
+                CompileConfig(order=order)
         with pytest.raises(ValueError, match="^unknown branch order 'bogus'$"):
-            compile(cnf, CompileConfig(order="bogus"))
+            CompileConfig(order="bogus")
+        # Beyond the header: refused by compile.
+        with pytest.raises(ValueError, match="^order variable 99 out of range 1..6$"):
+            compile(parse_dimacs(OVERLAP_DIMACS), CompileConfig(order=[99]))
+        assert CompileConfig(order=[3, 2, 1]) == CompileConfig(order=(3, 2, 1))
+        with pytest.raises(FrozenInstanceError):
+            CompileConfig().order = "dynamic"
 
     def test_free_variables_tracked_by_universe(self):
         cnf = CnfInstance.from_raw(4, [[1]])
@@ -173,6 +178,7 @@ def _golden_instances():
 
 # sha256 over the concatenated write_nnf texts of _golden_instances(),
 # recorded from the recursive compiler that the explicit-stack one replaced.
+# ``random`` is each instance's ``shuffled_order`` of seed 0.
 GOLDEN_NNF_SHA256 = {
     "input": "47bfc1aff227e02af4d2c8c5289d3e0f7cdf7ba40b00b46efd422c917a334d68",
     "dynamic": "43fb6eb5faa0bff0e6183d7a830099762b7c78bd93876337fe0cd5367de87119",
@@ -185,7 +191,8 @@ GOLDEN_NNF_SHA256 = {
 def test_output_bytes_pinned(order, cached):
     digest = hashlib.sha256()
     for cnf in _golden_instances():
-        circuit = compile(cnf, CompileConfig(order=order))
+        named = shuffled_order(cnf.num_vars) if order == "random" else order
+        circuit = compile(cnf, CompileConfig(order=named))
         digest.update(write_nnf(circuit).encode())
     assert digest.hexdigest() == GOLDEN_NNF_SHA256[order]
 
@@ -201,7 +208,8 @@ def test_result_freed_without_cycle_collector():
         gc.enable()
 
 
-# Instances whose decision counts are pinned, and their search: order,
+# Instances whose decision counts are pinned, and their search: order
+# (``random`` is the instance's ``shuffled_order`` of the seed column),
 # seed, cache, and the decisions of a whole compile, recorded from the
 # compiler that rebuilt each component's occurrence index per decision. A
 # budget of exactly that many passes and one fewer raises, which pins the
@@ -238,7 +246,8 @@ DECISIONS = [
 @pytest.mark.parametrize("instance, order, seed, cached, decisions", DECISIONS)
 def test_decisions_pinned(instance, order, seed, cached, decisions):
     cnf = _PINNED_SEARCH[instance]()
-    config = CompileConfig(order=order, seed=seed)
+    named = shuffled_order(cnf.num_vars, seed) if order == "random" else order
+    config = CompileConfig(order=named)
     compile(cnf, replace(config, max_decisions=decisions))
     with pytest.raises(CompileBudgetError):
         compile(cnf, replace(config, max_decisions=decisions - 1))
@@ -276,10 +285,11 @@ def test_compile_peak_memory(instance):
     assert peak <= 1.2 * recorded[instance]
 
 
-@pytest.mark.parametrize("order", ["input", "dynamic"])
+@pytest.mark.parametrize("order", ["input", "dynamic", (1,)])
 def test_compile_memory_follows_clauses(order):
     # The declared variable count alone costs the search no memory: a state
     # sized by it would hold two lists per declared variable, over 1 GB here.
+    # An explicit order costs what it names, not a rank per declared variable.
     cnf = parse_dimacs(f"p cnf {10**7} 1\n1 0\n")
     gc.collect()
     tracemalloc.start()
@@ -458,7 +468,8 @@ class TestPropagate:
     def test_all_binary_clauses_unsatisfiable(self, order):
         # Every decision ends in a conflict found through binary residuals.
         cnf = parse_dimacs("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
-        circuit = compile(cnf, CompileConfig(order=order))
+        named = shuffled_order(cnf.num_vars) if order == "random" else order
+        circuit = compile(cnf, CompileConfig(order=named))
         assert model_count(circuit) == 0
 
 

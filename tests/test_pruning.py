@@ -27,7 +27,7 @@ from ddnnf.pruning import (
     residual_artifacts,
 )
 
-from helpers import random_cnf, random_formula
+from helpers import random_cnf, random_formula, shuffled_order
 from test_cnf import OVERLAP_DIMACS
 
 
@@ -325,7 +325,7 @@ class TestSizeAfterExists:
         for i in range(150):
             cnf = random_cnf(rng, max_vars=12, max_clauses=20, gate_prob=0.8)
             cnf = replace(cnf, tseitin_vars=detect_tseitin_vars(cnf))
-            order = ("input", "dynamic", "random")[i % 3]
-            circuit = compile_cnf(cnf, CompileConfig(order=order, seed=i))
+            order = ("input", "dynamic", shuffled_order(cnf.num_vars, i))[i % 3]
+            circuit = compile_cnf(cnf, CompileConfig(order=order))
             internal += self._check(circuit).artifacts_internal
         assert internal > 0
