@@ -4,6 +4,7 @@ written and read, d4 read."""
 
 from __future__ import annotations
 
+import re
 import warnings
 from collections.abc import Generator
 from functools import reduce
@@ -130,6 +131,8 @@ class Circuit:
     and are structurally deduplicated: adding an AND/OR with the same child
     multiset, or the same literal, returns the existing id. An AND whose
     children share a variable is refused, so every circuit is decomposable.
+    An OR whose children repeat is refused too: it would count a child's
+    models twice.
     The arena never simplifies; constant propagation belongs to the pruning
     pass. The declared universe and its gate variables are the masks
     ``universe_mask`` and ``tseitin_mask``; each argument is such a mask or a
@@ -194,6 +197,8 @@ class Circuit:
         # The masks of pairwise disjoint children add up to their union.
         if kind == AND and sum(masks) != mask:
             raise ValueError("AND children share a variable")
+        if kind == OR and len(set(kids)) < len(kids):
+            raise ValueError("OR children repeat")
         # A decision picks one child, so the OR of nothing (false) has none.
         nodes.append(Node(kind, 0, kids, decision if kids else 0, mask))
         self._dedup[key] = nid
@@ -295,14 +300,20 @@ def write_nnf(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_nnf(text: str, format: str = "c2d") -> Circuit:
-    """Parse a compiled circuit. An AND whose children share a variable is
-    refused, reachable or not; determinism is assumed, not checked."""
-    if format == "c2d":
-        return _parse_c2d(text)
-    if format == "d4":
+_FIRST_TOKEN = re.compile(r"^[^\S\n]*([^c\s]\S*)", re.M)
+_D4_KINDS = ("o", "a", "t", "f")
+
+
+def parse_nnf(text: str) -> Circuit:
+    """Parse a c2d or d4 circuit. The first token of the first line that is
+    neither blank nor begins with ``c`` picks the reader: a d4 node kind or
+    a decimal number means d4, anything else c2d. An AND whose children
+    share a variable, or an OR whose children repeat, is refused, reachable
+    or not; determinism is assumed, not checked."""
+    first = _FIRST_TOKEN.search(text)
+    if first and (first[1] in _D4_KINDS or first[1].isdecimal()):
         return _parse_d4(text)
-    raise ValueError(f"unknown NNF format {format!r}")
+    return _parse_c2d(text)
 
 
 # First characters that make a line a node line at a glance: its first token
@@ -404,7 +415,10 @@ def _parse_c2d(text: str) -> Circuit:
             if args[0] and not (args[0] > 0 and universe_mask >> args[0] & 1):
                 raise NnfFormatError(f"line {lineno}: decision variable {args[0]} out of range")
             edges += args[1]
-            ids.append(circuit.add_or(child_ids(lineno, args[2:]), decision=args[0]))
+            try:
+                ids.append(circuit.add_or(child_ids(lineno, args[2:]), decision=args[0]))
+            except ValueError as exc:
+                raise NnfFormatError(f"line {lineno}: {exc}") from None
         else:
             raise NnfFormatError(f"line {lineno}: unknown node tag {tag!r}")
 
@@ -412,9 +426,6 @@ def _parse_c2d(text: str) -> Circuit:
         warnings.warn(f"header declares {num_edges} edges, found {edges}", stacklevel=3)
     circuit.set_root(ids[-1])
     return circuit
-
-
-_D4_KINDS = ("o", "a", "t", "f")
 
 
 def _parse_d4(text: str) -> Circuit:
@@ -457,20 +468,19 @@ def _parse_d4(text: str) -> Circuit:
             if kinds[src] in "tf":
                 raise NnfFormatError(f"line {lineno}: edge leaves leaf node {src}")
             edges[src].append((dst, lits))
-    if first_node is None:
-        raise NnfFormatError("no nodes")
 
     max_var = max((abs(l) for ps in edges.values() for _, lits in ps for l in lits), default=0)
     circuit = Circuit(range_mask(max_var))
     built: dict[int, int] = {}
     in_progress: set[int] = set()
 
-    def conjoin(nid: int, kids: list[int]) -> int:
-        """The AND of ``kids``, built for d4 node ``nid``: a refusal names it."""
-        if len(kids) == 1:
+    def join(nid: int, kind: str, kids: list[int]) -> int:
+        """The AND or OR of ``kids``, built for d4 node ``nid``, where the AND
+        of one child is that child: a refusal names the node."""
+        if kind == AND and len(kids) == 1:
             return kids[0]
         try:
-            return circuit.add_and(kids)
+            return circuit.add_and(kids) if kind == AND else circuit.add_or(kids)
         except ValueError as exc:
             raise NnfFormatError(f"node {nid}: {exc}") from None
 
@@ -491,15 +501,15 @@ def _parse_d4(text: str) -> Circuit:
                 conj = [circuit.add_literal(l) for l in lits]
                 if kinds[dst] != "t":  # an edge into true is its guards alone
                     conj.append((yield build(dst)))
-                parts.append(conjoin(nid, conj))
-            result = circuit.add_or(parts)
+                parts.append(join(nid, AND, conj))
+            result = join(nid, OR, parts)
         else:  # t has no edges: the AND of nothing
             flat: list[int] = []
             for dst, lits in edges[nid]:
                 flat.extend(circuit.add_literal(l) for l in lits)
                 if kinds[dst] != "t":  # true adds nothing to an AND
                     flat.append((yield build(dst)))
-            result = conjoin(nid, flat)
+            result = join(nid, AND, flat)
         in_progress.discard(nid)
         built[nid] = result
         return result

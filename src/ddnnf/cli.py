@@ -87,31 +87,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("prune", help="quantify gate variables and remove artifacts")
-    p.add_argument("input", help="NNF circuit file")
+    p.add_argument("input", help="NNF circuit file (c2d or d4)")
     p.add_argument("--tvars", help="tvars sidecar (default: embedded in the NNF)")
     p.add_argument("--mode", choices=("p", "t"), default="t",
                    help="p: quantify only; t: also remove artifacts (default)")
-    p.add_argument("--format", choices=("c2d", "d4"), default="c2d")
     p.add_argument("-o", "--output", help="output path (default: <input>.pruned.nnf)")
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("count", help="exact model count of a circuit")
-    p.add_argument("input", help="NNF circuit file")
-    p.add_argument("--format", choices=("c2d", "d4"), default="c2d")
+    p.add_argument("input", help="NNF circuit file (c2d or d4)")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("wmc", help="weighted model count of a circuit")
-    p.add_argument("input", help="NNF circuit file")
+    p.add_argument("input", help="NNF circuit file (c2d or d4)")
     p.add_argument("--weights", required=True, help="weights file (w <lit> <value> lines)")
     p.add_argument("--exact", action="store_true", help="exact rational arithmetic")
-    p.add_argument("--format", choices=("c2d", "d4"), default="c2d")
     p.set_defaults(func=cmd_wmc)
 
     p = sub.add_parser("verify", help="run brute-force oracle checks on a file")
-    p.add_argument("input", help="formula (.bool), CNF (.cnf), or circuit (.nnf)")
+    p.add_argument("input", help="formula (.bool), CNF (.cnf), or circuit (c2d or d4)")
     _add_order_option(p, "input")
     p.add_argument("--tvars", help="tvars sidecar for CNF/NNF inputs")
-    p.add_argument("--format", choices=("c2d", "d4"), default="c2d")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="size-reduction report over generated instances")
@@ -127,8 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("stats", help="print circuit size metrics")
-    p.add_argument("input", help="NNF circuit file")
-    p.add_argument("--format", choices=("c2d", "d4"), default="c2d")
+    p.add_argument("input", help="NNF circuit file (c2d or d4)")
     p.set_defaults(func=cmd_stats)
 
     return parser
@@ -181,7 +176,7 @@ def _with_suffix(path: str, suffix: str) -> Path:
 
 
 def _load_circuit(args) -> Circuit:
-    circuit = parse_nnf(Path(args.input).read_text(), format=getattr(args, "format", "c2d"))
+    circuit = parse_nnf(Path(args.input).read_text())
     tvars_path = getattr(args, "tvars", None)
     if tvars_path:
         tvars = mask_within(parse_tvars(Path(tvars_path).read_text()), circuit.universe_mask)

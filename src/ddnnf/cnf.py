@@ -71,14 +71,19 @@ class CnfInstance:
 
 
 def parse_dimacs(text: str) -> CnfInstance:
-    """Parse DIMACS CNF. Duplicate literals are dropped, tautological clauses
-    removed; a clause-count mismatch warns instead of failing."""
+    """Parse DIMACS CNF. A line starting with ``%`` ends the input: SATLIB
+    files end with one, followed by a ``0`` line that is no clause.
+    Duplicate literals are dropped, tautological clauses removed; a
+    clause-count mismatch warns instead of failing."""
     num_vars = None
     declared_clauses = None
-    tokens: list[int] = []
+    clauses = []
+    current: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if num_vars is not None:
@@ -96,22 +101,19 @@ def parse_dimacs(text: str) -> CnfInstance:
         if num_vars is None:
             raise DimacsError(f"line {lineno}: clause before 'p cnf' header")
         try:
-            tokens.extend(int(t) for t in line.split())
+            tokens = [int(t) for t in line.split()]
         except ValueError:
             raise DimacsError(f"line {lineno}: non-integer token in {line!r}") from None
+        for tok in tokens:
+            if tok == 0:
+                clauses.append(current)
+                current = []
+            elif abs(tok) > num_vars:
+                raise DimacsError(f"line {lineno}: literal {tok} out of range 1..{num_vars}")
+            else:
+                current.append(tok)
     if num_vars is None:
         raise DimacsError("missing 'p cnf' header")
-
-    clauses = []
-    current: list[int] = []
-    for tok in tokens:
-        if tok == 0:
-            clauses.append(current)
-            current = []
-        else:
-            if abs(tok) > num_vars:
-                raise DimacsError(f"literal {tok} out of range 1..{num_vars}")
-            current.append(tok)
     if current:
         raise DimacsError("unterminated clause at end of input")
     if declared_clauses != len(clauses):

@@ -161,6 +161,16 @@ class TestChecks:
         with pytest.raises(ValueError):
             c.add_and([ab, ab])  # one child twice
 
+    def test_or_children_repeat(self):
+        # An OR of one child twice would count that child's models twice.
+        c = Circuit({1})
+        x, false = c.add_literal(1), c.add_or(())
+        for kids in ([x, x], [false, x, false]):
+            with pytest.raises(ValueError, match="^OR children repeat$"):
+                c.add_or(kids)
+            assert len(c) == 2
+        assert c.add_or([x, false]) == 2
+
     def test_refused_and_leaves_the_arena_as_it_was(self):
         c = Circuit({1, 2})
         x, nx = c.add_literal(1), c.add_literal(-1)

@@ -208,6 +208,13 @@ class TestCompilePruneCount:
         assert code == 0
         assert out.strip() == "16"
 
+    def test_satlib_end_marker(self, tmp_path, capsys, monkeypatch):
+        # The 0 line after SATLIB's % line is no clause: (x1 | x2) has 3 models.
+        (tmp_path / "s.cnf").write_text("c x\np cnf 2 1\n1 2 0\n%\n0\n")
+        monkeypatch.chdir(tmp_path)
+        assert _run(capsys, "compile", "s.cnf")[::2] == (0, "")
+        assert _run(capsys, "count", "s.nnf") == (0, "3\n", "")
+
     def test_compile_heuristics(self, workspace, capsys):
         _run(capsys, "tseitin", str(workspace / "f.bool"))
         n = parse_dimacs((workspace / "f.cnf").read_text()).num_vars
@@ -465,6 +472,58 @@ class TestVerify:
         assert err.startswith("oracle error:")
 
 
+X_D4 = "1 o 0\n2 t 0\n1 2 -1 0\n1 2 1 0\n"  # x1 | -x1 in d4 format
+
+
+class TestCircuitFormats:
+    """A circuit file says its format: a d4 file is read without a flag."""
+
+    @pytest.fixture
+    def d4_dir(self, tmp_path, monkeypatch):
+        (tmp_path / "x.d4").write_text(X_D4)
+        (tmp_path / "w.txt").write_text("w 1 1/3\nw -1 2/3\n")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "command, options, out",
+        [
+            ("count", [], "2\n"),
+            ("stats", [], "size=1 nodes=3 edges=2 vars=1 tseitin=0\n"),
+            ("wmc", ["--weights", "w.txt", "--exact"], "1\n"),
+        ],
+        ids=["count", "stats", "wmc"],
+    )
+    def test_d4_queries(self, d4_dir, capsys, command, options, out):
+        assert _run(capsys, command, "x.d4", *options) == (0, out, "")
+
+    def test_d4_prune(self, d4_dir, capsys):
+        code, out, err = _run(capsys, "prune", "x.d4")
+        assert (code, err) == (0, "")
+        assert out.endswith("wrote x.pruned.nnf and x.pruned.nnf.report\n")
+        assert _run(capsys, "count", "x.pruned.nnf") == (0, "2\n", "")
+
+    def test_d4_verify(self, d4_dir, capsys):
+        # x1 | -x1 is read and checked; prune keeps that tautology, as the
+        # circuit has no gate variables, so only the reading is asserted here.
+        code, out, err = _run(capsys, "verify", "x.d4")
+        assert err == "" and out.startswith("ok deterministic (brute force)\n")
+        assert len(out.splitlines()) == 5
+        # (x1 & x2) | -x1 passes every check.
+        (d4_dir / "y.d4").write_text("1 o 0\n2 t 0\n1 2 1 2 0\n1 2 -1 0\n")
+        code, out, err = _run(capsys, "verify", "y.d4")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 5 and "FAIL" not in out
+
+    @pytest.mark.parametrize("command", ["prune", "count", "wmc", "verify", "stats"])
+    def test_format_option_is_a_usage_error(self, d4_dir, capsys, command):
+        options = ["--weights", "w.txt"] if command == "wmc" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "x.d4", *options, "--format", "d4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format d4" in capsys.readouterr().err
+
+
 class TestBench:
     def test_csv_to_stdout_and_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.csv"
@@ -607,9 +666,14 @@ AND_C2D = "nnf 3 2 2\nL 1\nL 2\nA 2 0 1\n"
          "warning: tvars header declares 2, found 1\n"),
         ({"f.nnf": AND_C2D, "t.tvars": "t 1\n9\n"}, ["prune", "f.nnf", "--tvars", "t.tvars"], 1,
          "error: tvars sidecar lists variables outside the circuit universe\n"),
+        # An OR whose children repeat counted 2 where the true count is 1.
+        ({"f.nnf": "nnf 2 2 1\nL 1\nO 0 2 0 0\n"}, ["count", "f.nnf"], 1,
+         "parse error: line 3: OR children repeat\n"),
+        ({"f.d4": "o 1 0\nt 2 0\n1 2 1 0\n1 2 1 0\n"}, ["count", "f.d4"], 1,
+         "parse error: node 1: OR children repeat\n"),
     ],
     ids=["dimacs_clause_count", "c2d_node_count", "c2d_edge_count", "tvars_count",
-         "tvars_outside_universe"],
+         "tvars_outside_universe", "c2d_or_children_repeat", "d4_or_children_repeat"],
 )
 def test_stderr_is_one_line(tmp_path, capsys, monkeypatch, files, argv, code, err):
     for name, text in files.items():

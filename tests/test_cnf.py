@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,17 @@ class TestParseDimacs:
     def test_literal_out_of_range(self):
         with pytest.raises(DimacsError):
             parse_dimacs("p cnf 2 1\n3 0")
+
+    def test_literal_out_of_range_names_its_line(self):
+        with pytest.raises(DimacsError, match="^line 3: literal -3 out of range 1..2$"):
+            parse_dimacs("p cnf 2 2\n1 2 0\n-3 0\n")
+
+    def test_satlib_end_marker(self):
+        # SATLIB files end with a % line and then a 0 line, which is no clause.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cnf = parse_dimacs("c x\np cnf 2 1\n1 2 0\n%\n0\n")
+        assert cnf.clauses == ((1, 2),)
 
     def test_count_mismatch_warns(self):
         with pytest.warns(UserWarning):

@@ -526,6 +526,11 @@ class TestParseC2d:
         with pytest.raises(NnfFormatError, match="^line 4: AND children share a variable$"):
             parse_nnf("nnf 4 2 2\nL 1\nL -1\nA 2 0 1\nL 2")
 
+    def test_or_children_repeat(self):
+        # One child twice would count its models twice.
+        with pytest.raises(NnfFormatError, match="^line 3: OR children repeat$"):
+            parse_nnf("nnf 2 2 1\nL 1\nO 0 2 0 0")
+
     # Messages and line numbers recorded from the reader that kept every
     # line's tokens before building any node.
     @pytest.mark.parametrize(
@@ -592,7 +597,7 @@ class TestParseC2d:
 class TestParseD4:
     def test_or_with_guarded_edge(self):
         # An edge into true is its guard alone.
-        circuit = parse_nnf("1 o 0\n2 t 0\n1 2 3 0", format="d4")
+        circuit = parse_nnf("1 o 0\n2 t 0\n1 2 3 0")
         root = circuit.node(circuit.root)
         assert root.kind == "O"
         assert len(root.children) == 1
@@ -608,23 +613,23 @@ class TestParseD4:
         ids=["or", "and"],
     )
     def test_edges_into_true_add_no_and(self, text, stats):
-        circuit = parse_nnf(text, format="d4")
+        circuit = parse_nnf(text)
         assert stats_line(circuit) == stats
         assert write_nnf(exists_quantify(circuit, set())) == write_nnf(circuit)
 
     def test_d4_native_token_order(self):
         # real d4 output puts the type letter first
-        circuit = parse_nnf("o 1 0\nt 2 0\n1 2 3 0", format="d4")
+        circuit = parse_nnf("o 1 0\nt 2 0\n1 2 3 0")
         assert circuit.node(circuit.root).kind == "O"
 
     def test_and_node_flattens_edges(self):
         text = "1 a 0\n2 t 0\n3 t 0\n1 2 1 0\n1 3 2 0"
-        circuit = parse_nnf(text, format="d4")
+        circuit = parse_nnf(text)
         root = circuit.node(circuit.root)
         assert root.kind == "A"
 
     def test_model_equivalence_with_c2d_writer(self):
-        circuit = parse_nnf("1 o 0\n2 t 0\n3 t 0\n1 2 -1 0\n1 3 1 2 0", format="d4")
+        circuit = parse_nnf("1 o 0\n2 t 0\n3 t 0\n1 2 -1 0\n1 3 1 2 0")
         again = parse_nnf(write_nnf(circuit))
         assert enumerate_models(again).models == enumerate_models(circuit).models
 
@@ -634,33 +639,29 @@ class TestParseD4:
         n = 3000
         lines = [f"{k} o 0" for k in range(1, n + 1)] + [f"{n + 1} t 0"]
         lines += [f"{k} {k + 1} {k} 0" for k in range(1, n + 1)]
-        circuit = parse_nnf("\n".join(lines), format="d4")
+        circuit = parse_nnf("\n".join(lines))
         assert len(circuit.universe) == n
         assert model_count(circuit) == 1
 
     def test_undeclared_node(self):
         with pytest.raises(NnfFormatError):
-            parse_nnf("1 o 0\n1 9 2 0", format="d4")
+            parse_nnf("1 o 0\n1 9 2 0")
 
     def test_cyclic_reference(self):
         text = "1 o 0\n2 o 0\n1 2 1 0\n2 1 -1 0"
         with pytest.raises(NnfFormatError):
-            parse_nnf(text, format="d4")
-
-    def test_no_nodes(self):
-        with pytest.raises(NnfFormatError, match="^no nodes$"):
-            parse_nnf("c only a comment\n", format="d4")
+            parse_nnf(text)
 
     def test_missing_terminator(self):
         with pytest.raises(NnfFormatError):
-            parse_nnf("1 o", format="d4")
+            parse_nnf("1 o")
 
     @pytest.mark.parametrize(
         "text, line", [("o 1 0\nt 2 0\n1 2 0 0", 3), ("1 o 0\n2 t 0\nc x\n1 2 3 0 -1 0", 4)]
     )
     def test_literal_zero_in_edge_guard(self, text, line):
         with pytest.raises(NnfFormatError, match=f"^line {line}: literal 0 in edge guard$"):
-            parse_nnf(text, format="d4")
+            parse_nnf(text)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -672,7 +673,7 @@ class TestParseD4:
     )
     def test_edge_from_leaf_refused(self, text, message):
         with pytest.raises(NnfFormatError, match=f"^{message}$"):
-            parse_nnf(text, format="d4")
+            parse_nnf(text)
 
     @pytest.mark.parametrize(
         "text, node",
@@ -684,11 +685,57 @@ class TestParseD4:
     )
     def test_non_decomposable_rejected(self, text, node):
         with pytest.raises(NnfFormatError, match=f"^node {node}: AND children share a variable$"):
-            parse_nnf(text, format="d4")
+            parse_nnf(text)
 
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            parse_nnf("nnf 1 0 0\nA 0", format="dimacs")
+    def test_or_children_repeat(self):
+        # Two edges of one guard into true: the same literal twice under an OR
+        with pytest.raises(NnfFormatError, match="^node 1: OR children repeat$"):
+            parse_nnf("o 1 0\nt 2 0\n1 2 1 0\n1 2 1 0")
+
+
+class TestFormatRule:
+    """The first token of the first line that is neither blank nor begins
+    with c picks the reader: a d4 node kind or a decimal number reads as d4,
+    anything else as c2d."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\n  \n\nnnf 3 2 2\nL 1\nL 2\nA 2 0 1\n",
+            "c made by hand\nc 1 o 0\nnnf 3 2 2\nL 1\nL 2\nA 2 0 1\n",
+            "c tseitin 2\nnnf 3 2 2\nL 1\nL 2\nA 2 0 1\n",
+        ],
+        ids=["blank_lines", "comments", "tseitin_directive"],
+    )
+    def test_c2d_openings(self, text):
+        circuit = parse_nnf(text)
+        assert stats_line(circuit).startswith("size=1 nodes=3 edges=2 vars=2")
+        assert circuit.tseitin_vars == ({2} if "tseitin" in text else set())
+
+    @pytest.mark.parametrize("text", ["c from d4\n1 o 0\n2 t 0\n1 2 -1 0\n1 2 1 0\n",
+                                      "\n  c indented\no 1 0\nt 2 0\n1 2 -1 0\n1 2 1 0\n"],
+                             ids=["comment", "indented_comment"])
+    def test_d4_after_a_comment(self, text):
+        circuit = parse_nnf(text)
+        assert stats_line(circuit) == "size=1 nodes=3 edges=2 vars=1 tseitin=0"
+        assert model_count(circuit) == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x 1 0\nnnf 1 0 0\nA 0\n", "line 1: node before 'nnf' header"),
+            ("1o 0\n", "line 1: node before 'nnf' header"),
+            ("", "missing 'nnf' header"),
+        ],
+        ids=["garbage", "no_decimal", "empty"],
+    )
+    def test_other_openings_get_c2d_errors(self, text, message):
+        with pytest.raises(NnfFormatError, match=f"^{message}$"):
+            parse_nnf(text)
+
+    def test_d4_errors_name_d4_lines(self):
+        with pytest.raises(NnfFormatError, match="^line 2: line must end with 0$"):
+            parse_nnf("c d4\n7 o\n")
 
 
 class TestUniverseOfOneNumber:
@@ -697,13 +744,11 @@ class TestUniverseOfOneNumber:
     N = 10**7
     C2D = f"nnf 1 0 {N}\nA 0\n"
 
-    @pytest.mark.parametrize(
-        "text, format", [(C2D, "c2d"), (f"1 o 0\n2 t 0\n1 2 {N} 0\n", "d4")], ids=["c2d", "d4"]
-    )
-    def test_parse_peak_memory(self, text, format):
+    @pytest.mark.parametrize("text", [C2D, f"1 o 0\n2 t 0\n1 2 {N} 0\n"], ids=["c2d", "d4"])
+    def test_parse_peak_memory(self, text):
         tracemalloc.start()
         try:
-            circuit = parse_nnf(text, format)
+            circuit = parse_nnf(text)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -47,7 +47,7 @@ TVARS = "# gates\nt 3\n4 5 # first two\n6\n"
 
 READERS = {
     "c2d": (C2D, parse_nnf, NnfFormatError),
-    "d4": (D4, lambda text: parse_nnf(text, format="d4"), NnfFormatError),
+    "d4": (D4, parse_nnf, NnfFormatError),
     "dimacs": (OVERLAP_DIMACS, parse_dimacs, DimacsError),
     "tvars": (TVARS, parse_tvars, DimacsError),
 }
