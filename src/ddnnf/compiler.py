@@ -74,13 +74,19 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
     cache: dict[int, tuple[tuple[Clause, ...], int]] = {}
     decisions = 0
 
-    def pick_var(low: int, comp: list[int]) -> int:
-        if rank is None and cfg.order != "dynamic":
-            return low
+    def pick_var(low: int, comp: list[int], best: int) -> int:
+        # ``best`` is the variable the component search counted most, 0
+        # where no search ran.
+        if rank is None:
+            if cfg.order != "dynamic":
+                return low
+            if best:
+                return best
         variables = map(abs, chain.from_iterable(map(residual.__getitem__, comp)))
         if rank is not None:
             ranked = [v for v in set(variables) if v in rank]
             return min(ranked, key=rank.__getitem__) if ranked else low
+        # A component no search walked: count its residual literals here.
         occ = Counter(variables)
         return max(occ, key=lambda v: (occ[v], -v))
 
@@ -103,7 +109,7 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
             return next(iter(merged))
         return circuit.add_and(merged)
 
-    def rec(split: tuple[list[int], list[tuple[int, list[int]]]] | None):
+    def rec(split: tuple[list[int], list[tuple[int, list[int], int]]] | None):
         # One propagation's units and components; a cache miss is a decision.
         nonlocal decisions
         if split is None:
@@ -114,7 +120,7 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
         literals = [nid if (nid := literal_id(u)) is not None else circuit.add_literal(u)
                     for u in units]
         parts = []
-        for low, comp in components:
+        for low, comp, best in components:
             # The set of the distinct residual clauses: keys are equal iff
             # the clause sets are equal.
             key = frozenset(map(residual.__getitem__, comp))
@@ -130,7 +136,7 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
             decisions += 1
             if cfg.max_decisions is not None and decisions > cfg.max_decisions:
                 raise CompileBudgetError(f"decision budget {cfg.max_decisions} exceeded")
-            v = pick_var(low, comp)
+            v = pick_var(low, comp, best)
             mark = search.mark()
             hi = yield rec(search.propagate(v, comp))
             search.undo(mark)
@@ -161,8 +167,10 @@ class _Search:
     """The search state one compile shares across all its branches. Built
     once: for each literal, the positions of the clauses holding it, one
     entry per occurrence. Per clause, changed only through the trail:
-    whether it is satisfied, and its residual clause, its literals not yet
-    falsified in place, kept current as literals are assigned. The trail is
+    a flag, 0 while it is open and 1 once it is satisfied, and its residual
+    clause, its literals not yet falsified in place, kept current as
+    literals are assigned. The component search flags the open clauses it
+    places 2, and sets them back to 0 before it returns. The trail is
     two stacks: the positions of the clauses satisfied, and the residual
     clauses replaced with their positions. ``undo`` restores the state of a
     ``mark``."""
@@ -204,9 +212,12 @@ class _Search:
         literal is a unit and an empty one a conflict. The units (``lit``
         not among them) come as conditioning on the first unit clause in
         clause order, one at a time, gives them: a heap of clause positions
-        yields them in that order. A component is its smallest variable and
-        the ascending list of its clause positions, in the order of those
-        variables."""
+        yields them in that order. A component is its smallest variable,
+        the ascending list of its clause positions and its branch variable,
+        in the order of those smallest variables. The branch variable is the
+        one with the most occurrences in the component's residual clauses,
+        the smallest on a tie, counted by the search that found the
+        component; it is 0 for a component returned without a search."""
         occ, satisfied, residual = self.occ, self.satisfied, self.residual
         changed, replaced = self.changed, self.replaced
         start, shrunk = len(changed), len(replaced)
@@ -264,19 +275,23 @@ class _Search:
                 if len(points) <= 2:
                     comp = list(filterfalse(satisfied.__getitem__, positions))
                     low = min(map(abs, chain.from_iterable(map(residual.__getitem__, comp))))
-                    return units, [(low, comp)]
+                    return units, [(low, comp, 0)]
 
         # Breadth-first search over the occurrence lists of the variables in
         # the residual clauses, which hold no assigned variable. A placed
-        # clause is flagged like a satisfied one until the search ends.
+        # clause is flagged 2 until the search ends. A variable's entries
+        # not flagged 1, in open clauses placed or not, are its occurrences
+        # in its component's residual clauses: the component branches on
+        # the variable with the most, the smallest on a tie.
         seen: set[int] = set()
-        found: list[tuple[int, list[int]]] = []
+        found: list[tuple[int, list[int], int]] = []
         for start in positions:
             if satisfied[start]:
                 continue
-            satisfied[start] = 1
+            satisfied[start] = 2
             members = [start]
             low = maxsize
+            best = most = 0
             for j in members:
                 for l in residual[j]:
                     x = abs(l)
@@ -285,17 +300,26 @@ class _Search:
                     seen.add(x)
                     if x < low:
                         low = x
+                    n = 0
                     for k in occ[l]:
-                        if not satisfied[k]:
-                            satisfied[k] = 1
-                            members.append(k)
+                        s = satisfied[k]
+                        if s != 1:
+                            n += 1
+                            if not s:
+                                satisfied[k] = 2
+                                members.append(k)
                     for k in occ[-l]:
-                        if not satisfied[k]:
-                            satisfied[k] = 1
-                            members.append(k)
+                        s = satisfied[k]
+                        if s != 1:
+                            n += 1
+                            if not s:
+                                satisfied[k] = 2
+                                members.append(k)
+                    if n > most or n == most and x < best:
+                        most, best = n, x
             members.sort()
-            found.append((low, members))
-        for _, members in found:
+            found.append((low, members, best))
+        for _, members, _ in found:
             for j in members:
                 satisfied[j] = 0
         found.sort()  # by smallest variable: no two are equal

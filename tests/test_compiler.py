@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -253,6 +254,34 @@ def test_decisions_pinned(instance, order, seed, cached, decisions):
         compile(cnf, replace(config, max_decisions=decisions - 1))
 
 
+# ``dynamic`` order at the sizes the benchmark compiles, where the most
+# occurrences tie far more often than on the instances above: size, sha256
+# of the written text and decisions, recorded from the compiler that counted
+# a component's occurrences apart from the search that found it.
+SCALE_PINS = {
+    "mutex_p2_n24_s0": (
+        lambda: gen_mutex_cpt(24, 2, 0), 3945,
+        "93a6abf29dfa1ec8110d3631dcb1057534171afdb2488183c9fbda7936f59038", 353),
+    "noisy_or_n64": (
+        lambda: gen_noisy_or(64), 2714,
+        "398c947ac0c27a88d40e093c3b59490387e4956fd567cf96c5fb9d8f33b4632b", 190),
+    "overlap_n150": (
+        lambda: gen_overlapping_disjunction(150), 12818,
+        "b4e36e6b30b272ecb6b41028744093d3db693b028a5a6936de5d15a854c2ca18", 448),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(SCALE_PINS))
+def test_dynamic_order_pinned_at_scale(instance):
+    formula, expected_size, digest, decisions = SCALE_PINS[instance]
+    cnf = tseitin_transform(formula()).cnf
+    circuit = compile(cnf, CompileConfig(order="dynamic", max_decisions=decisions))
+    assert size(circuit) == expected_size
+    assert hashlib.sha256(write_nnf(circuit).encode()).hexdigest() == digest
+    with pytest.raises(CompileBudgetError):
+        compile(cnf, CompileConfig(order="dynamic", max_decisions=decisions - 1))
+
+
 # tracemalloc peaks in bytes of two compiles, per Python version, recorded
 # from the compiler that rebuilt each component's occurrence index per
 # decision. A frozenset kept per cache entry (2.8 and 2.3 times these), or
@@ -330,13 +359,21 @@ def _propagate_reference(cnf, lit):
 
 
 def _split_clauses(search, split):
-    # A propagation's units and each component's residual clauses.
+    # A propagation's units and each component's residual clauses. A
+    # searched component carries the variable that ``dynamic`` order
+    # branches on: the most occurrences in its residual clauses, the
+    # smallest on a tie; one returned without a search carries 0.
     if split is None:
         return None
     units, components = split
-    for low, comp in components:
-        assert low == min(abs(l) for i in comp for l in search.residual[i])
-    return units, [tuple(search.residual[i] for i in comp) for _, comp in components]
+    for low, comp, best in components:
+        assert best or len(components) == 1
+        residual = [search.residual[i] for i in comp]
+        assert low == min(abs(l) for c in residual for l in c)
+        if best:
+            occ = Counter(abs(l) for c in residual for l in c)
+            assert best == max(occ.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+    return units, [tuple(search.residual[i] for i in comp) for _, comp, _ in components]
 
 
 def _state(search):
@@ -347,10 +384,10 @@ def _branch_literal(search, components, rng, lit=None):
     # A literal on one of the components: ``lit`` on the one holding its
     # variable when given, else a random one.
     if lit is not None:
-        comp = next(comp for _, comp in components
+        comp = next(comp for _, comp, _ in components
                     if any(abs(l) == abs(lit) for i in comp for l in search.residual[i]))
         return comp, lit
-    _, comp = rng.choice(components)
+    _, comp, _ = rng.choice(components)
     variables = sorted({abs(l) for i in comp for l in search.residual[i]})
     return comp, rng.choice(variables) * rng.choice((1, -1))
 
