@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain, filterfalse
+from itertools import chain
 from sys import maxsize
 
 from .circuit import AND, OR, Circuit, _run, range_mask
@@ -59,14 +59,28 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
     shared search state, undone when the branch returns.
     """
     cfg = config or CompileConfig()
+    # The search runs on the variables in clauses, renumbered 1..k in
+    # increasing order, so its per-variable lists follow the clauses, not the
+    # header. The map keeps every comparison that steers the search (the
+    # smallest variable, the most occurrences with the smallest on a tie,
+    # explicit ranks) and the cache's key equality, so the search, its
+    # decisions and the output are those on the original numbers. Only the
+    # circuit sees original numbers, through ``original``; where the clause
+    # variables already are 1..k the map is the identity.
+    original = [0, *sorted({abs(l) for c in cnf.clauses for l in c})]
+    k = len(original) - 1
+    dense = {v: x for x, v in enumerate(original)}
+    clauses = cnf.clauses
+    if original[-1] != k:
+        clauses = tuple(tuple(dense[l] if l > 0 else -dense[-l] for l in c) for c in clauses)
     rank = None
     if isinstance(cfg.order, tuple):
         for v in cfg.order:
             if v > cnf.num_vars:
                 raise ValueError(f"order variable {v} out of range 1..{cnf.num_vars}")
-        rank = {v: i for i, v in enumerate(cfg.order)}
+        rank = {dense[v]: i for i, v in enumerate(cfg.order) if v in dense}
     circuit = Circuit(universe=range_mask(cnf.num_vars), tseitin_vars=cnf.tseitin_vars)
-    search = _Search(cnf)
+    search = _Search(CnfInstance(k, clauses))
     residual = search.residual
     literal_id = circuit.literal_ids.get
     # Key hash -> (the key as a tuple, node id); a colliding key takes the
@@ -117,8 +131,10 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
         units, components = split
         # Most units are known literals: one table lookup each. Id 0 is a
         # node, so only None is a miss.
-        literals = [nid if (nid := literal_id(u)) is not None else circuit.add_literal(u)
-                    for u in units]
+        literals = []
+        for u in units:
+            u = original[u] if u > 0 else -original[-u]
+            literals.append(nid if (nid := literal_id(u)) is not None else circuit.add_literal(u))
         parts = []
         for low, comp, best in components:
             # The set of the distinct residual clauses: keys are equal iff
@@ -142,6 +158,7 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
             search.undo(mark)
             lo = yield rec(search.propagate(-v, comp))
             search.undo(mark)
+            v = original[v]
             children = []
             if not is_false(hi):
                 children.append(mk_and((circuit.add_literal(v),), [hi]))
@@ -164,25 +181,32 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
 
 
 class _Search:
-    """The search state one compile shares across all its branches. Built
-    once: for each literal, the positions of the clauses holding it, one
-    entry per occurrence. Per clause, changed only through the trail:
-    a flag, 0 while it is open and 1 once it is satisfied, and its residual
-    clause, its literals not yet falsified in place, kept current as
-    literals are assigned. The component search flags the open clauses it
-    places 2, and sets them back to 0 before it returns. The trail is
-    two stacks: the positions of the clauses satisfied, and the residual
-    clauses replaced with their positions. ``undo`` restores the state of a
-    ``mark``."""
+    """The search state one compile shares across all its branches, sized
+    by its instance's ``num_vars``: ``compile`` builds it on the variables
+    in clauses only, renumbered 1..k, so memory follows the clauses. Built
+    once: for each variable x, ``pos[x]`` and ``neg[x]``, the positions of
+    the clauses holding x and -x, one entry per occurrence. Per clause,
+    changed only through the trail: its ``state``, 0 once it is satisfied
+    and nonzero while it is open, and its residual clause, its literals not
+    yet falsified in place, kept current as literals are assigned. An open
+    clause holds 1, or the stamp of the last component search that placed
+    it: each search takes a new stamp, writes it into the clauses it places
+    and into ``seen`` for the variables it reaches, so nothing is reset
+    when it ends. The trail is two stacks: the positions of the clauses
+    satisfied, and the residual clauses replaced with their positions.
+    ``undo`` restores the state of a ``mark``, a reopened clause to 1."""
 
     def __init__(self, cnf: CnfInstance):
-        # Lists for the variables in clauses only: memory follows the clauses.
-        self.occ: dict[int, list[int]] = {}
+        n = cnf.num_vars
+        pos: list[list[int]] = [[] for _ in range(n + 1)]
+        neg: list[list[int]] = [[] for _ in range(n + 1)]
         for i, c in enumerate(cnf.clauses):
             for l in c:
-                self.occ.setdefault(l, []).append(i)
-                self.occ.setdefault(-l, [])
-        self.satisfied = bytearray(len(cnf.clauses))
+                (pos[l] if l > 0 else neg[-l]).append(i)
+        self.pos, self.neg = pos, neg
+        self.state = [1] * len(cnf.clauses)
+        self.seen = [0] * (n + 1)
+        self.stamp = 1
         self.residual = list(cnf.clauses)
         self.changed: list[int] = []
         self.replaced: list[tuple[int, Clause]] = []
@@ -192,9 +216,9 @@ class _Search:
 
     def undo(self, mark: tuple[int, int]) -> None:
         changed, replaced = mark
-        satisfied, residual = self.satisfied, self.residual
+        state, residual = self.state, self.residual
         for i in self.changed[changed:]:
-            satisfied[i] = 0
+            state[i] = 1
         del self.changed[changed:]
         for i, c in reversed(self.replaced[replaced:]):
             residual[i] = c
@@ -209,16 +233,23 @@ class _Search:
 
         Each literal assigned is taken out of the residual clauses that are
         still open, one occurrence at a time, so a residual clause of one
-        literal is a unit and an empty one a conflict. The units (``lit``
-        not among them) come as conditioning on the first unit clause in
-        clause order, one at a time, gives them: a heap of clause positions
-        yields them in that order. A component is its smallest variable,
-        the ascending list of its clause positions and its branch variable,
-        in the order of those smallest variables. The branch variable is the
-        one with the most occurrences in the component's residual clauses,
-        the smallest on a tie, counted by the search that found the
-        component; it is 0 for a component returned without a search."""
-        occ, satisfied, residual = self.occ, self.satisfied, self.residual
+        literal is a unit and an empty one a conflict. A literal's
+        occurrences are ``pos`` or ``neg`` of its variable, by its sign. The
+        units (``lit`` not among them) come as conditioning on the first
+        unit clause in clause order, one at a time, gives them: a heap of
+        clause positions yields them in that order. A component is its
+        smallest variable, the ascending list of its clause positions and
+        its branch variable, in the order of those smallest variables. The
+        branch variable is the one with the most occurrences in the
+        component's residual clauses, the smallest on a tie, counted by the
+        search that found the component; it is 0 for a component returned
+        without a search.
+
+        A clause this satisfies gets state 0 and goes on the trail. The
+        component search takes a new stamp: a clause it placed is one whose
+        state equals the stamp, a variable it reached one whose ``seen``
+        entry does, and an older stamp reads as open but not yet placed."""
+        pos, neg, state, residual = self.pos, self.neg, self.state, self.residual
         changed, replaced = self.changed, self.replaced
         start, shrunk = len(changed), len(replaced)
         units: list[int] = []
@@ -228,12 +259,16 @@ class _Search:
         u = lit
         while True:
             if u:
-                for i in occ[u]:
-                    if not satisfied[i]:
-                        satisfied[i] = 1
+                if u > 0:
+                    holding, falsified = pos[u], neg[u]
+                else:
+                    holding, falsified = neg[-u], pos[-u]
+                for i in holding:
+                    if state[i]:
+                        state[i] = 0
                         changed.append(i)
-                for i in occ[-u]:
-                    if satisfied[i]:
+                for i in falsified:
+                    if not state[i]:
                         continue
                     c = residual[i]
                     replaced.append((i, c))
@@ -247,7 +282,7 @@ class _Search:
                         return None
             while heap:
                 i = heappop(heap)
-                if not satisfied[i]:
+                if state[i]:
                     break
             else:
                 break
@@ -273,54 +308,53 @@ class _Search:
                         break
                     points.update(map(abs, residual[i]))
                 if len(points) <= 2:
-                    comp = list(filterfalse(satisfied.__getitem__, positions))
+                    comp = list(filter(state.__getitem__, positions))
                     low = min(map(abs, chain.from_iterable(map(residual.__getitem__, comp))))
                     return units, [(low, comp, 0)]
 
         # Breadth-first search over the occurrence lists of the variables in
-        # the residual clauses, which hold no assigned variable. A placed
-        # clause is flagged 2 until the search ends. A variable's entries
-        # not flagged 1, in open clauses placed or not, are its occurrences
-        # in its component's residual clauses: the component branches on
-        # the variable with the most, the smallest on a tie.
-        seen: set[int] = set()
+        # the residual clauses, which hold no assigned variable. A clause or
+        # variable holds this search's stamp once placed or reached. A
+        # variable's entries in open clauses, placed or not, are its
+        # occurrences in its component's residual clauses: the component
+        # branches on the variable with the most, the smallest on a tie.
+        self.stamp = stamp = self.stamp + 1
+        seen = self.seen
         found: list[tuple[int, list[int], int]] = []
         for start in positions:
-            if satisfied[start]:
+            s = state[start]
+            if not s or s == stamp:
                 continue
-            satisfied[start] = 2
+            state[start] = stamp
             members = [start]
             low = maxsize
             best = most = 0
             for j in members:
                 for l in residual[j]:
                     x = abs(l)
-                    if x in seen:
+                    if seen[x] == stamp:
                         continue
-                    seen.add(x)
+                    seen[x] = stamp
                     if x < low:
                         low = x
                     n = 0
-                    for k in occ[l]:
-                        s = satisfied[k]
-                        if s != 1:
+                    for k in pos[x]:
+                        s = state[k]
+                        if s:
                             n += 1
-                            if not s:
-                                satisfied[k] = 2
+                            if s != stamp:
+                                state[k] = stamp
                                 members.append(k)
-                    for k in occ[-l]:
-                        s = satisfied[k]
-                        if s != 1:
+                    for k in neg[x]:
+                        s = state[k]
+                        if s:
                             n += 1
-                            if not s:
-                                satisfied[k] = 2
+                            if s != stamp:
+                                state[k] = stamp
                                 members.append(k)
                     if n > most or n == most and x < best:
                         most, best = n, x
             members.sort()
             found.append((low, members, best))
-        for _, members, _ in found:
-            for j in members:
-                satisfied[j] = 0
         found.sort()  # by smallest variable: no two are equal
         return units, found

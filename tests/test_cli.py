@@ -505,10 +505,11 @@ class TestCircuitFormats:
 
     def test_d4_verify(self, d4_dir, capsys):
         # x1 | -x1 is read and checked; prune keeps that tautology, as the
-        # circuit has no gate variables, so only the reading is asserted here.
+        # circuit has no gate variables, and that passes.
         code, out, err = _run(capsys, "verify", "x.d4")
         assert err == "" and out.startswith("ok deterministic (brute force)\n")
         assert len(out.splitlines()) == 5
+        assert code == 0 and "FAIL" not in out
         # (x1 & x2) | -x1 passes every check.
         (d4_dir / "y.d4").write_text("1 o 0\n2 t 0\n1 2 1 2 0\n1 2 -1 0\n")
         code, out, err = _run(capsys, "verify", "y.d4")

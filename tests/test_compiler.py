@@ -198,6 +198,47 @@ def test_output_bytes_pinned(order, cached):
     assert digest.hexdigest() == GOLDEN_NNF_SHA256[order]
 
 
+def _smallest_budget(cnf, order):
+    budget = 0
+    while True:
+        try:
+            compile(cnf, CompileConfig(order=order, max_decisions=budget))
+            return budget
+        except CompileBudgetError:
+            budget += 1
+
+
+def test_renumbering_is_invisible():
+    # compile searches on the variables in clauses renumbered 1..k. Spread
+    # out as 3v + 1 under the header 3n + 1, the same clauses must give the
+    # same circuit node for node, under that renaming, and the same search.
+    def spread(lit):
+        return 3 * lit + 1 if lit > 0 else 3 * lit - 1
+
+    rng = random.Random(29)
+    for t in range(90):
+        n = rng.randint(1, 7)
+        # Built directly, so repeated literals and tautologies stay.
+        clauses = [
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 4)))
+            for _ in range(rng.randint(1, 14))
+        ]
+        clauses = tuple(c for c in clauses if c or rng.random() < 0.1)
+        order = ["input", "dynamic", rng.sample(range(1, n + 1), rng.randint(1, n))][t % 3]
+        spread_order = order if isinstance(order, str) else [spread(v) for v in order]
+        cnf = CnfInstance(n, clauses)
+        spread_cnf = CnfInstance(3 * n + 1, tuple(tuple(map(spread, c)) for c in clauses))
+        a = compile(cnf, CompileConfig(order=order))
+        b = compile(spread_cnf, CompileConfig(order=spread_order))
+        assert (len(b), b.root) == (len(a), a.root)
+        for nid in range(len(a)):
+            x, y = a.node(nid), b.node(nid)
+            assert (y.kind, y.children) == (x.kind, x.children)
+            assert y.lit == (spread(x.lit) if x.lit else 0)
+            assert y.decision == (spread(x.decision) if x.decision else 0)
+        assert _smallest_budget(spread_cnf, spread_order) == _smallest_budget(cnf, order)
+
+
 def test_result_freed_without_cycle_collector():
     # Nothing of a compile run may keep the circuit (or the cache) alive
     # once the caller drops it.
@@ -314,12 +355,22 @@ def test_compile_peak_memory(instance):
     assert peak <= 1.2 * recorded[instance]
 
 
-@pytest.mark.parametrize("order", ["input", "dynamic", (1,)])
-def test_compile_memory_follows_clauses(order):
+# The first three ids are those of the cases on variable 1 alone.
+@pytest.mark.parametrize("variable, order", [
+    pytest.param(1, "input", id="input"),
+    pytest.param(1, "dynamic", id="dynamic"),
+    pytest.param(1, (1,), id="order2"),
+    pytest.param(10**7, "input", id="highest-input"),
+    pytest.param(10**7, "dynamic", id="highest-dynamic"),
+    pytest.param(10**7, (10**7,), id="highest-explicit"),
+])
+def test_compile_memory_follows_clauses(variable, order):
     # The declared variable count alone costs the search no memory: a state
-    # sized by it would hold two lists per declared variable, over 1 GB here.
-    # An explicit order costs what it names, not a rank per declared variable.
-    cnf = parse_dimacs(f"p cnf {10**7} 1\n1 0\n")
+    # sized by it would hold three lists per declared variable, over 200 MB
+    # here. Nor does the highest variable in a clause, as the search runs on
+    # the clause variables renumbered from 1. An explicit order costs what it
+    # names, not a rank per declared variable.
+    cnf = parse_dimacs(f"p cnf {10**7} 1\n{variable} 0\n")
     gc.collect()
     tracemalloc.start()
     try:
@@ -328,7 +379,7 @@ def test_compile_memory_follows_clauses(order):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    assert circuit.node(circuit.root).lit == 1
+    assert circuit.node(circuit.root).lit == variable
 
 
 class TestDeepInputs:
@@ -377,7 +428,7 @@ def _split_clauses(search, split):
 
 
 def _state(search):
-    return bytes(search.satisfied), list(search.residual)
+    return [bool(s) for s in search.state], list(search.residual)
 
 
 def _branch_literal(search, components, rng, lit=None):
