@@ -109,7 +109,9 @@ def mask_within(vs, universe: int) -> int | None:
 
 class Node(NamedTuple):
     """One arena node. A tuple: building one skips a dataclass ``__init__``,
-    which matters because parsing and pruning build one per line or node."""
+    which matters because parsing and pruning build one per line or node.
+    The arena builds its nodes with ``tuple.__new__``, which also skips the
+    tuple's own Python-level ``__new__``."""
 
     kind: str
     lit: int = 0
@@ -177,7 +179,7 @@ class Circuit:
         if lit == 0 or var >= universe.bit_length() or not universe & (mask := 1 << var):
             raise ValueError(f"literal {lit} outside universe")
         nid = len(self._nodes)
-        self._nodes.append(Node(LIT, lit=lit, mask=mask))
+        self._nodes.append(tuple.__new__(Node, (LIT, lit, (), 0, mask)))
         self.literal_ids[lit] = nid
         return nid
 
@@ -200,7 +202,7 @@ class Circuit:
         if kind == OR and len(set(kids)) < len(kids):
             raise ValueError("OR children repeat")
         # A decision picks one child, so the OR of nothing (false) has none.
-        nodes.append(Node(kind, 0, kids, decision if kids else 0, mask))
+        nodes.append(tuple.__new__(Node, (kind, 0, kids, decision if kids else 0, mask)))
         self._dedup[key] = nid
         return nid
 
@@ -319,18 +321,17 @@ def parse_nnf(text: str) -> Circuit:
 # First characters that make a line a node line at a glance: its first token
 # is then neither a comment nor the header.
 _NODE_STARTS = frozenset("LAO")
-_NOT_NODES = ("c", "nnf")
 
 
 def _parse_c2d(text: str) -> Circuit:
     # First pass: the header and the directives, which may come anywhere;
-    # node lines are only counted. Second pass: each node line is split once
-    # and its node added.
+    # the node lines' numbers are recorded. Second pass: each node line is
+    # split once and its node added.
     lines = text.splitlines()
     header = None
     universe: list[int] | None = None
     tseitin: list[int] = []
-    found = 0  # node lines
+    node_lines: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
         if raw[:1] not in _NODE_STARTS:
             fields = raw.split()
@@ -359,7 +360,7 @@ def _parse_c2d(text: str) -> Circuit:
                 continue
         if header is None:
             raise NnfFormatError(f"line {lineno}: node before 'nnf' header")
-        found += 1
+        node_lines.append(lineno)
 
     if header is None:
         raise NnfFormatError("missing 'nnf' header")
@@ -370,25 +371,23 @@ def _parse_c2d(text: str) -> Circuit:
         circuit = Circuit(range_mask(num_vars) if universe is None else universe, tseitin)
     except ValueError:
         raise NnfFormatError("tseitin directive outside universe") from None
+    found = len(node_lines)
     if not found:
         raise NnfFormatError("no nodes")
     if num_nodes != found:
         warnings.warn(f"header declares {num_nodes} nodes, found {found}", stacklevel=3)
 
-    ids: list[int] = []
+    # Each node line's position, as written, to its arena id: a reference
+    # that is a key needs no int() and no range check.
+    ref: dict[str, int] = {}
+    lookup = ref.__getitem__
     universe_mask = circuit.universe_mask
     edges = 0
 
-    def child_ids(lineno: int, refs: list[int]) -> list[int]:
-        if refs and (min(refs) < 0 or max(refs) >= len(ids)):
-            bad = next(i for i in refs if not 0 <= i < len(ids))
-            raise NnfFormatError(f"line {lineno}: dangling node reference {bad}")
-        return [ids[i] for i in refs]
-
-    for lineno, raw in enumerate(lines, start=1):
-        fields = raw.split()
-        if not fields or fields[0] in _NOT_NODES:
-            continue
+    def checked(lineno: int, fields: list[str]) -> tuple[int, list[int] | None]:
+        # Every field through int(), then the checks in their order; the
+        # first fault is the one named. Gives a literal line's literal and
+        # None, or an internal line's decision and child ids.
         tag = fields[0]
         try:
             args = list(map(int, fields[1:]))
@@ -397,34 +396,65 @@ def _parse_c2d(text: str) -> Circuit:
         if tag == "L":
             if len(args) != 1 or args[0] == 0:
                 raise NnfFormatError(f"line {lineno}: malformed literal node")
-            try:
-                ids.append(circuit.add_literal(args[0]))
-            except ValueError:
-                raise NnfFormatError(f"line {lineno}: literal {args[0]} out of range") from None
-        elif tag == "A":
+            return args[0], None
+        if tag == "A":
             if not args or args[0] != len(args) - 1:
                 raise NnfFormatError(f"line {lineno}: AND child count mismatch")
-            edges += args[0]
-            try:
-                ids.append(circuit.add_and(child_ids(lineno, args[1:])))
-            except ValueError as exc:
-                raise NnfFormatError(f"line {lineno}: {exc}") from None
+            value, refs = 0, args[1:]
         elif tag == "O":
             if len(args) < 2 or args[1] != len(args) - 2:
                 raise NnfFormatError(f"line {lineno}: OR child count mismatch")
             if args[0] and not (args[0] > 0 and universe_mask >> args[0] & 1):
                 raise NnfFormatError(f"line {lineno}: decision variable {args[0]} out of range")
-            edges += args[1]
-            try:
-                ids.append(circuit.add_or(child_ids(lineno, args[2:]), decision=args[0]))
-            except ValueError as exc:
-                raise NnfFormatError(f"line {lineno}: {exc}") from None
+            value, refs = args[0], args[2:]
         else:
             raise NnfFormatError(f"line {lineno}: unknown node tag {tag!r}")
+        if refs and (min(refs) < 0 or max(refs) >= len(ref)):
+            bad = next(i for i in refs if not 0 <= i < len(ref))
+            raise NnfFormatError(f"line {lineno}: dangling node reference {bad}")
+        return value, [ref[str(i)] for i in refs]
+
+    for position, lineno in zip(map(str, range(found)), node_lines):
+        fields = lines[lineno - 1].split()
+        lines[lineno - 1] = None  # freed as the arena grows: a lower peak
+        tag = fields[0]
+        # A line's value is its literal or its decision. The common line's
+        # references are keys and its counts right; any other is checked.
+        try:
+            if tag == "A":
+                value, kids = 0, list(map(lookup, fields[2:]))
+                valid = int(fields[1]) == len(kids)
+            elif tag == "O":
+                value, kids = int(fields[1]), list(map(lookup, fields[3:]))
+                valid = int(fields[2]) == len(kids) and (
+                    not value or value > 0 and universe_mask >> value & 1)
+            elif tag == "L":
+                value, kids = int(fields[1]), None
+                valid = len(fields) == 2 and value != 0
+            else:
+                valid = False
+        except (KeyError, ValueError, IndexError):
+            valid = False
+        if not valid:
+            value, kids = checked(lineno, fields)
+        if kids is None:
+            try:
+                ref[position] = circuit.add_literal(value)
+            except ValueError:
+                raise NnfFormatError(f"line {lineno}: literal {value} out of range") from None
+            continue
+        edges += len(kids)
+        try:
+            if tag == "A":
+                ref[position] = circuit.add_and(kids)
+            else:
+                ref[position] = circuit.add_or(kids, decision=value)
+        except ValueError as exc:
+            raise NnfFormatError(f"line {lineno}: {exc}") from None
 
     if num_edges != edges:
         warnings.warn(f"header declares {num_edges} edges, found {edges}", stacklevel=3)
-    circuit.set_root(ids[-1])
+    circuit.set_root(ref[position])
     return circuit
 
 

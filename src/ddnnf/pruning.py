@@ -74,7 +74,7 @@ def exists_quantify(circuit: Circuit, variables) -> Circuit:
     xs = mask_within(variables, circuit.universe_mask)
     if xs is None:
         raise ValueError("quantified variables outside universe")
-    return _rebuild(circuit, xs, frozenset())
+    return _rebuild(circuit, xs, frozenset())[0]
 
 
 def artifact_flags(circuit: Circuit) -> set[int]:
@@ -106,7 +106,8 @@ def prune(circuit: Circuit) -> tuple[Circuit, PruneReport]:
     it has no gate variables.
 
     Only the pruned circuit is built: the size after quantification alone
-    comes from a walk that records no more than each node's children.
+    comes from re-imaging the nodes at or above an internal artifact root
+    (see ``_size_quantified``).
     """
     before = size(circuit)
     xs = circuit.tseitin_mask
@@ -117,16 +118,13 @@ def prune(circuit: Circuit) -> tuple[Circuit, PruneReport]:
     # A degenerate root (a gate-variable literal or true) becomes true under
     # quantification anyway, so only roots with children can change the rebuild.
     internal = frozenset(nid for nid in roots if circuit.node(nid).children)
-    pruned = _rebuild(circuit, xs, internal)
+    pruned, mapping = _rebuild(circuit, xs, internal)
+    after_p = _size_quantified(circuit, internal, pruned, mapping) if internal else None
+    del mapping  # before the sweep that sizes ``pruned``: a lower peak
     size_after_artifacts = size(pruned)
-    if internal:
-        sink = _SizeSink()
-        size_after_exists = sink.size(_quantify(circuit, xs, frozenset(), sink))
-    else:
-        size_after_exists = size_after_artifacts
     report = PruneReport(
         size_before=before,
-        size_after_exists=size_after_exists,
+        size_after_exists=size_after_artifacts if after_p is None else after_p,
         size_after_artifacts=size_after_artifacts,
         artifacts_found=len(roots),
         artifact_node_ids=sorted(roots),
@@ -146,24 +144,30 @@ def residual_artifacts(pruned: Circuit) -> list[int]:
     return sorted(nid for nid in artifact_flags(pruned) if pruned.node(nid).children)
 
 
-def _rebuild(circuit: Circuit, xs: int, replace_true: frozenset[int]) -> Circuit:
+def _rebuild(
+    circuit: Circuit, xs: int, replace_true: frozenset[int]
+) -> tuple[Circuit, dict[int, int]]:
+    """The quantified circuit, and the id of each input node's image in it."""
     out = Circuit(universe=circuit.universe_mask & ~xs, tseitin_vars=circuit.tseitin_mask & ~xs)
+    mapping: dict[int, int] = {}
     if circuit.root is not None:
-        out.set_root(_quantify(circuit, xs, replace_true, out))
-    return out
+        mapping = _quantify(circuit, xs, replace_true, out)
+        out.set_root(mapping[circuit.root])
+    return out, mapping
 
 
-def _quantify(circuit: Circuit, xs: int, replace_true: frozenset[int], out) -> int:
+def _quantify(
+    circuit: Circuit, xs: int, replace_true: frozenset[int], out: Circuit
+) -> dict[int, int]:
     """Add to ``out`` the image of every node reachable from the root, and
-    return the root's image. The literals of the mask ``xs``'s variables and
-    the nodes of ``replace_true`` become true, the AND of nothing; then
+    return each node's image id. The literals of the mask ``xs``'s variables
+    and the nodes of ``replace_true`` become true, the AND of nothing; then
     constants propagate: a false child makes an AND false and a true child
     makes an OR true, other constant children are dropped, and a node left
-    with one child is that child.
+    with one child is that child. A constant is added when first needed.
 
-    ``out`` is a ``Circuit`` or a ``_SizeSink``; both deduplicate alike, so
-    they receive the same nodes in the same order. A constant is added when
-    first needed.
+    This is the one quantifying pass: the report's size after quantification
+    alone is read from its images by ``_size_quantified``, which adds nothing.
     """
     mapping: dict[int, int] = {}
     image = mapping.__getitem__
@@ -178,8 +182,8 @@ def _quantify(circuit: Circuit, xs: int, replace_true: frozenset[int], out) -> i
             continue
         else:
             unit, zero = (true, false) if kind == AND else (false, true)
-            kept = dict.fromkeys(map(image, node.children))
-            kept.pop(unit, None)
+            kept = set(map(image, node.children))
+            kept.discard(unit)
             if zero in kept:
                 mapping[nid] = zero
                 continue
@@ -195,35 +199,51 @@ def _quantify(circuit: Circuit, xs: int, replace_true: frozenset[int], out) -> i
                 true = mapping[nid]
             else:
                 false = mapping[nid]
-    return mapping[circuit.root]
+    return mapping
 
 
-class _SizeSink:
-    """Takes ``_quantify``'s output in place of a ``Circuit`` when only the
-    result's size is wanted: it deduplicates nodes as ``Circuit`` does, but
-    keeps only their child tuples."""
+def _size_quantified(
+    circuit: Circuit, internal: frozenset[int], pruned: Circuit, mapping: dict[int, int]
+) -> int:
+    """``size(exists_quantify(circuit, gates))``, from the images ``mapping``
+    of the build of ``pruned``, which replaced the nodes ``internal`` with
+    true. The two images of a node differ only at or above a node of
+    ``internal``, so only those nodes are imaged again, as ``_quantify``
+    would image them, and ``mapping`` is overwritten there. An image already
+    in ``pruned`` keeps its id; any other goes to a side table, with ids from
+    ``len(pruned)`` up, so a child's id is still below its parent's. Nothing
+    is added to ``pruned``.
+    """
+    table = dict(pruned._dedup)  # (kind, children) -> id, the side's ids added
+    base = len(pruned)
+    side_children: list[tuple[int, ...]] = []  # of the side's nodes, by id - base
+    image = mapping.__getitem__
+    # A re-imaged node is a constant only where a child's image already is
+    # one, so no side node is: the constants are those of ``pruned``, and
+    # None where it has none.
+    true, false = table.get((AND, ())), table.get((OR, ()))
+    redo: set[int] = set()
+    for nid in circuit.reachable():
+        node = circuit.node(nid)
+        if nid not in internal and redo.isdisjoint(node.children):
+            continue
+        redo.add(nid)
+        kind = node.kind
+        unit, zero = (true, false) if kind == AND else (false, true)
+        kept = set(map(image, node.children))
+        kept.discard(unit)
+        if zero in kept:
+            mapping[nid] = zero
+            continue
+        if len(kept) == 1:
+            mapping[nid] = next(iter(kept))
+            continue
+        key = (kind, tuple(sorted(kept)))
+        fresh = base + len(side_children)
+        mapping[nid] = found = table.setdefault(key, fresh)
+        if found == fresh:
+            side_children.append(key[1])
 
-    def __init__(self) -> None:
-        self._children: list[tuple[int, ...]] = []
-        self._dedup: dict[object, int] = {}
-
-    def _add(self, key, kids: tuple[int, ...] = ()) -> int:
-        nid = self._dedup.get(key)
-        if nid is None:
-            nid = self._dedup[key] = len(self._children)
-            self._children.append(kids)
-        return nid
-
-    add_literal = _add
-
-    def add_and(self, children, kind: str = AND) -> int:
-        kids = tuple(sorted(children))
-        return self._add((kind, kids), kids)
-
-    def add_or(self, children, decision: int = 0) -> int:
-        return self.add_and(children, OR)
-
-    def size(self, root: int) -> int:
-        """``circuit.size`` of the nodes reachable from ``root``."""
-        reached = map(self._children.__getitem__, reached_from(root, self._children.__getitem__))
-        return sum(len(kids) - 1 for kids in reached if kids)
+    children = [node.children for node in map(pruned.node, range(base))] + side_children
+    reached = map(children.__getitem__, reached_from(mapping[circuit.root], children.__getitem__))
+    return sum(len(kids) - 1 for kids in reached if kids)

@@ -17,7 +17,7 @@ from ddnnf import (
     tseitin_transform,
     write_nnf,
 )
-from ddnnf.bench import gen_mutex_cpt
+from ddnnf.bench import gen_mutex_cpt, gen_noisy_or, gen_overlapping_disjunction
 from ddnnf.oracle import check_exists_equiv, enumerate_models
 from ddnnf.pruning import (
     artifact_flags,
@@ -298,6 +298,61 @@ A 2 8 15
 """
 
 
+# Gates 3 and 4; node 2 is the one artifact root.
+ANCESTOR_IMAGE_SHARED_C2D = """nnf 12 13 5
+c tseitin 3 4
+L 3
+L 4
+A 2 0 1
+L 1
+L 2
+A 3 2 3 4
+L 5
+A 2 5 6
+A 2 3 4
+L -5
+A 2 8 9
+O 5 2 7 10
+"""
+
+# Gate 2; node 4 is the one artifact root.
+CONSTANT_BELOW_ROOT_C2D = """nnf 8 7 3
+c tseitin 2
+L 2
+L -2
+O 0 0
+A 2 1 2
+O 2 2 0 3
+L 1
+L 3
+A 3 4 5 6
+"""
+
+# Gates 3 and 4: node 10 defines gate 3 as x1 & x2, a tautology once 3 is
+# forgotten, and node 12 is gate 4 and node 10.
+NESTED_ROOTS_C2D = """nnf 18 19 5
+c tseitin 3 4
+L 3
+L 1
+L 2
+A 3 0 1 2
+L -3
+L -1
+L -2
+A 2 1 6
+O 1 2 5 7
+A 2 4 8
+O 3 2 3 9
+L 4
+A 2 11 10
+L 5
+A 2 12 13
+L -5
+A 2 10 15
+O 5 2 14 16
+"""
+
+
 class TestSizeAfterExists:
     """The report's quantified-only size equals the size of the circuit that
     quantification alone builds."""
@@ -329,3 +384,31 @@ class TestSizeAfterExists:
             circuit = compile_cnf(cnf, CompileConfig(order=order))
             internal += self._check(circuit).artifacts_internal
         assert internal > 0
+
+    def test_ancestor_image_already_in_pruned_circuit(self):
+        # Node 2 (g & h) quantifies to true in both images, so its parent
+        # 5 images to x1 & x2 in both: the node that 8 images to as well.
+        circuit = parse_nnf(ANCESTOR_IMAGE_SHARED_C2D)
+        report = self._check(circuit)
+        assert report.artifact_node_ids == [2]
+        assert report.size_after_exists == report.size_after_artifacts == 4
+
+    def test_constants_only_quantification_needs(self):
+        # Node 4 (g | (-g & false)) quantifies to true through the false
+        # below it; pruning replaces it without reading either constant.
+        report = self._check(parse_nnf(CONSTANT_BELOW_ROOT_C2D))
+        assert report.artifact_node_ids == [4]
+        assert report.size_after_exists == 1
+
+    def test_root_reached_directly_and_below_another_root(self):
+        # Root 10 is below root 12 and also a child of 16.
+        report = self._check(parse_nnf(NESTED_ROOTS_C2D))
+        assert report.artifact_node_ids == [10, 12]
+        assert (report.size_after_exists, report.size_after_artifacts) == (7, 1)
+
+    @pytest.mark.parametrize("formula", [gen_noisy_or(128), gen_overlapping_disjunction(150)],
+                             ids=["noisy_or_n128", "overlap_n150"])
+    def test_benchmark_scale(self, formula):
+        encoded = tseitin_transform(formula)
+        report = self._check(compile_cnf(encoded.cnf, CompileConfig(order="dynamic")))
+        assert report.artifacts_internal > 0

@@ -1,11 +1,12 @@
 """Seeded token-level mutations of valid reader inputs: every mutated text
 either parses or raises its reader's own error, never anything else."""
 
+import hashlib
 import random
 
 import pytest
 
-from ddnnf import parse_dimacs, parse_nnf, parse_tvars
+from ddnnf import model_count, parse_dimacs, parse_nnf, parse_tvars, write_nnf
 from ddnnf.cnf import DimacsError
 from ddnnf.circuit import NnfFormatError
 
@@ -108,3 +109,43 @@ def test_mutations_parse_or_raise_the_reader_error(reader):
     # Both outcomes occur, so the mutations neither always break the text
     # nor always leave it alone.
     assert min(outcomes.values()) > 100, outcomes
+
+
+# The sha256 of the outcomes of 20,000 mutations of C2D, recorded before the
+# c2d reader resolved references by their text: parsing them must keep every
+# circuit and every message, and which message a line with several faults
+# gets.
+C2D_OUTCOMES_SHA256 = "23f05a1bf2ba44556790e4d6585908f06ac617aa4254dbca5a714ed505991a66"
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_c2d_outcomes_pinned():
+    rng = random.Random("c2d outcomes")
+    digest = hashlib.sha256()
+    for _ in range(20_000):
+        mutated = _mutate(rng, C2D)
+        try:
+            outcome = "ok:" + write_nnf(parse_nnf(mutated))
+        except NnfFormatError as exc:
+            outcome = f"err:{exc}"
+        digest.update(outcome.encode() + b"\0")
+    assert digest.hexdigest() == C2D_OUTCOMES_SHA256
+
+
+C2D_PREFIX = "nnf 3 2 2\nL 1\nL 2\n"
+
+
+@pytest.mark.parametrize("line", ["A 2 +0 01", "A 2 -0 1"])
+def test_c2d_reference_not_in_canonical_form(line):
+    # A reference that is not its position's text is read through int().
+    assert model_count(parse_nnf(C2D_PREFIX + line + "\n")) == 1
+
+
+@pytest.mark.parametrize("line, message", [
+    ("A 3 0 99", "AND child count mismatch"),
+    ("A 2 x 99", "non-integer argument"),
+    ("O 9 2 0 99", "decision variable 9 out of range"),
+])
+def test_c2d_line_with_two_faults_names_the_first(line, message):
+    with pytest.raises(NnfFormatError, match=f"^line 4: {message}$"):
+        parse_nnf(C2D_PREFIX + line + "\n")
