@@ -81,11 +81,11 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
         rank = {dense[v]: i for i, v in enumerate(cfg.order) if v in dense}
     circuit = Circuit(universe=range_mask(cnf.num_vars), tseitin_vars=cnf.tseitin_vars)
     search = _Search(CnfInstance(k, clauses))
-    residual = search.residual
+    residual, rid = search.residual, search.rid
     literal_id = circuit.literal_ids.get
-    # Key hash -> (the key as a tuple, node id); a colliding key takes the
-    # next free hash. Kept frozensets would nearly triple a compile's memory.
-    cache: dict[int, tuple[tuple[Clause, ...], int]] = {}
+    # The ascending ids of a component's distinct residual clauses -> node
+    # id: keys are equal iff the clause sets are equal.
+    cache: dict[tuple[int, ...], int] = {}
     decisions = 0
 
     def pick_var(low: int, comp: list[int], best: int) -> int:
@@ -137,18 +137,11 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
             literals.append(nid if (nid := literal_id(u)) is not None else circuit.add_literal(u))
         parts = []
         for low, comp, best in components:
-            # The set of the distinct residual clauses: keys are equal iff
-            # the clause sets are equal.
-            key = frozenset(map(residual.__getitem__, comp))
-            h = hash(key)
-            while (entry := cache.get(h)) and not (
-                len(entry[0]) == len(key) and key.issuperset(entry[0])
-            ):
-                h += 1
-            if entry:
-                parts.append(entry[1])
+            key = tuple(sorted(set(map(rid.__getitem__, comp))))
+            nid = cache.get(key)
+            if nid is not None:
+                parts.append(nid)
                 continue
-            key = tuple(key)  # held down the subtree, the set would cost thrice
             decisions += 1
             if cfg.max_decisions is not None and decisions > cfg.max_decisions:
                 raise CompileBudgetError(f"decision budget {cfg.max_decisions} exceeded")
@@ -165,9 +158,7 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
             if not is_false(lo):
                 children.append(mk_and((circuit.add_literal(-v),), [lo]))
             nid = children[0] if len(children) == 1 else circuit.add_or(children, decision=v)
-            while h in cache:  # the subtree may have taken slot h
-                h += 1
-            cache[h] = (key, nid)
+            cache[key] = nid
             parts.append(nid)
         return mk_and(literals, parts)
 
@@ -185,16 +176,22 @@ class _Search:
     by its instance's ``num_vars``: ``compile`` builds it on the variables
     in clauses only, renumbered 1..k, so memory follows the clauses. Built
     once: for each variable x, ``pos[x]`` and ``neg[x]``, the positions of
-    the clauses holding x and -x, one entry per occurrence. Per clause,
-    changed only through the trail: its ``state``, 0 once it is satisfied
-    and nonzero while it is open, and its residual clause, its literals not
-    yet falsified in place, kept current as literals are assigned. An open
-    clause holds 1, or the stamp of the last component search that placed
-    it: each search takes a new stamp, writes it into the clauses it places
-    and into ``seen`` for the variables it reaches, so nothing is reset
-    when it ends. The trail is two stacks: the positions of the clauses
-    satisfied, and the residual clauses replaced with their positions.
-    ``undo`` restores the state of a ``mark``, a reopened clause to 1."""
+    the clauses holding x and -x, one entry per occurrence, and ``occ[x]``,
+    the two joined, which the component search walks. Per clause, changed
+    only through the trail: its ``state``, 0 once it is satisfied and
+    nonzero while it is open, its residual clause, its literals not yet
+    falsified in place, kept current as literals are assigned, and
+    ``rid``, the id of that residual in ``ids``, which numbers each
+    distinct residual clause as it is first seen. ``rid`` is current
+    wherever the residual holds two literals or more; a unit's is not, as
+    a unit is satisfied or conflicts before any component is returned. An
+    open clause holds 1, or the stamp of the last component search that
+    placed it: each search takes a new stamp, writes it into the clauses it
+    places and into ``seen`` for the variables it reaches, so nothing is
+    reset when it ends. The trail is three stacks: the positions of the
+    clauses satisfied, the residual clauses replaced with their positions,
+    and the ids replaced with their positions. ``undo`` restores the state
+    of a ``mark``, a reopened clause to 1."""
 
     def __init__(self, cnf: CnfInstance):
         n = cnf.num_vars
@@ -204,25 +201,32 @@ class _Search:
             for l in c:
                 (pos[l] if l > 0 else neg[-l]).append(i)
         self.pos, self.neg = pos, neg
+        self.occ = list(map(list.__add__, pos, neg))
         self.state = [1] * len(cnf.clauses)
         self.seen = [0] * (n + 1)
         self.stamp = 1
         self.residual = list(cnf.clauses)
+        self.ids: dict[Clause, int] = {}
+        self.rid = [self.ids.setdefault(c, len(self.ids)) for c in cnf.clauses]
         self.changed: list[int] = []
         self.replaced: list[tuple[int, Clause]] = []
+        self.renamed: list[tuple[int, int]] = []
 
-    def mark(self) -> tuple[int, int]:
-        return len(self.changed), len(self.replaced)
+    def mark(self) -> tuple[int, int, int]:
+        return len(self.changed), len(self.replaced), len(self.renamed)
 
-    def undo(self, mark: tuple[int, int]) -> None:
-        changed, replaced = mark
-        state, residual = self.state, self.residual
+    def undo(self, mark: tuple[int, int, int]) -> None:
+        changed, replaced, renamed = mark
+        state, residual, rid = self.state, self.residual, self.rid
         for i in self.changed[changed:]:
             state[i] = 1
         del self.changed[changed:]
         for i, c in reversed(self.replaced[replaced:]):
             residual[i] = c
         del self.replaced[replaced:]
+        for i, r in reversed(self.renamed[renamed:]):
+            rid[i] = r
+        del self.renamed[renamed:]
 
     def propagate(self, lit: int, positions):
         """Assign ``lit``, unit-propagate to a fixpoint and split the open
@@ -234,23 +238,25 @@ class _Search:
         Each literal assigned is taken out of the residual clauses that are
         still open, one occurrence at a time, so a residual clause of one
         literal is a unit and an empty one a conflict. A literal's
-        occurrences are ``pos`` or ``neg`` of its variable, by its sign. The
-        units (``lit`` not among them) come as conditioning on the first
-        unit clause in clause order, one at a time, gives them: a heap of
-        clause positions yields them in that order. A component is its
-        smallest variable, the ascending list of its clause positions and
-        its branch variable, in the order of those smallest variables. The
-        branch variable is the one with the most occurrences in the
-        component's residual clauses, the smallest on a tie, counted by the
-        search that found the component; it is 0 for a component returned
-        without a search.
+        occurrences are ``pos`` or ``neg`` of its variable, by its sign. A
+        residual of three literals or more that shrinks takes the id of the
+        shorter one from ``ids``. The units (``lit`` not among them) come as
+        conditioning on the first unit clause in clause order, one at a
+        time, gives them: a heap of clause positions yields them in that
+        order. A component is its smallest variable, the list of its clause
+        positions in no promised order, and its branch variable, in the
+        order of those smallest variables. The branch variable is the one
+        with the most occurrences in the component's residual clauses, the
+        smallest on a tie, counted by the search that found the component;
+        it is 0 for a component returned without a search.
 
         A clause this satisfies gets state 0 and goes on the trail. The
         component search takes a new stamp: a clause it placed is one whose
         state equals the stamp, a variable it reached one whose ``seen``
         entry does, and an older stamp reads as open but not yet placed."""
         pos, neg, state, residual = self.pos, self.neg, self.state, self.residual
-        changed, replaced = self.changed, self.replaced
+        ids, rid = self.ids, self.rid
+        changed, replaced, renamed = self.changed, self.replaced, self.renamed
         start, shrunk = len(changed), len(replaced)
         units: list[int] = []
         heap = [] if lit else [i for i in positions if len(residual[i]) < 2]  # ascending: a heap
@@ -280,6 +286,8 @@ class _Search:
                     c = residual[i] = c[:k] + c[k + 1:]
                     if not c:
                         return None
+                    renamed.append((i, rid[i]))
+                    rid[i] = ids.setdefault(c, len(ids))
             while heap:
                 i = heappop(heap)
                 if state[i]:
@@ -312,14 +320,14 @@ class _Search:
                     low = min(map(abs, chain.from_iterable(map(residual.__getitem__, comp))))
                     return units, [(low, comp, 0)]
 
-        # Breadth-first search over the occurrence lists of the variables in
-        # the residual clauses, which hold no assigned variable. A clause or
-        # variable holds this search's stamp once placed or reached. A
-        # variable's entries in open clauses, placed or not, are its
-        # occurrences in its component's residual clauses: the component
-        # branches on the variable with the most, the smallest on a tie.
+        # Breadth-first search over ``occ`` of the variables in the residual
+        # clauses, which hold no assigned variable. A clause or variable
+        # holds this search's stamp once placed or reached. A variable's
+        # entries in open clauses, placed or not, are its occurrences in its
+        # component's residual clauses: the component branches on the
+        # variable with the most, the smallest on a tie.
         self.stamp = stamp = self.stamp + 1
-        seen = self.seen
+        seen, occ = self.seen, self.occ
         found: list[tuple[int, list[int], int]] = []
         for start in positions:
             s = state[start]
@@ -338,14 +346,7 @@ class _Search:
                     if x < low:
                         low = x
                     n = 0
-                    for k in pos[x]:
-                        s = state[k]
-                        if s:
-                            n += 1
-                            if s != stamp:
-                                state[k] = stamp
-                                members.append(k)
-                    for k in neg[x]:
+                    for k in occ[x]:
                         s = state[k]
                         if s:
                             n += 1
@@ -354,7 +355,6 @@ class _Search:
                                 members.append(k)
                     if n > most or n == most and x < best:
                         most, best = n, x
-            members.sort()
             found.append((low, members, best))
         found.sort()  # by smallest variable: no two are equal
         return units, found

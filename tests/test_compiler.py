@@ -239,6 +239,58 @@ def test_renumbering_is_invisible():
         assert _smallest_budget(spread_cnf, spread_order) == _smallest_budget(cnf, order)
 
 
+def test_component_position_order_is_invisible(monkeypatch):
+    # Nothing the output depends on reads the order of a component's clause
+    # positions: shuffled after every propagation, the same compiles must
+    # write the same bytes and take the same smallest decision budget.
+    rng = random.Random(31)
+    cases = []
+    for seed in range(300):
+        cnf = random_cnf(rng, max_vars=10, max_clauses=25, gate_prob=0.3)
+        cases += [(cnf, order) for order in ("input", "dynamic", shuffled_order(cnf.num_vars, seed))]
+    # Shuffled, these take hundreds of decisions, and the smallest budget is
+    # searched one decision at a time: input and dynamic order only.
+    structured = [tseitin_transform(gen_mutex_cpt(n, 2, seed)).cnf for n, seed in ((4, 0), (6, 1))]
+    structured += [tseitin_transform(gen_overlapping_disjunction(n)).cnf for n in (3, 5)]
+    cases += [(cnf, order) for cnf in structured for order in ("input", "dynamic")]
+    expected = [
+        (write_nnf(compile(cnf, CompileConfig(order=order))), _smallest_budget(cnf, order))
+        for cnf, order in cases
+    ]
+    propagate = _Search.propagate
+    shuffler = random.Random(37)
+
+    def shuffled(self, lit, positions):
+        split = propagate(self, lit, positions)
+        if split is not None:
+            for _, comp, _ in split[1]:
+                shuffler.shuffle(comp)
+        return split
+
+    monkeypatch.setattr(_Search, "propagate", shuffled)
+    for (cnf, order), (text, budget) in zip(cases, expected):
+        assert write_nnf(compile(cnf, CompileConfig(order=order))) == text
+        compile(cnf, CompileConfig(order=order, max_decisions=budget))
+        if budget:
+            with pytest.raises(CompileBudgetError):
+                compile(cnf, CompileConfig(order=order, max_decisions=budget - 1))
+
+
+@pytest.mark.parametrize("text", [
+    # x1 leaves the residual clauses (2 3) and (-3 2) at positions 1 and 2
+    # when true, at 0 and 2 when false
+    "p cnf 3 3\n1 2 3 0\n-1 2 3 0\n2 -3 0\n",
+    # the same, and when false two clauses shrink to (2 3)
+    "p cnf 3 4\n1 2 3 0\n-1 2 3 0\n2 -3 0\n2 1 3 0\n",
+], ids=["moved", "repeated"])
+def test_cache_keys_are_residual_clause_sets(text):
+    # The cache key is the set of a component's distinct residual clauses,
+    # wherever they sit: the second branch on x1 is a cache hit, so two
+    # decisions compile it. A key of positions, or one that kept the repeat,
+    # would take three.
+    assert _smallest_budget(parse_dimacs(text), "input") == 2
+
+
 def test_result_freed_without_cycle_collector():
     # Nothing of a compile run may keep the circuit (or the cache) alive
     # once the caller drops it.
@@ -405,7 +457,7 @@ def _propagate_reference(cnf, lit):
             return None
         lit = next((c[0] for c in cnf.clauses if len(c) == 1), 0)
         if not lit:
-            return units, [comp.clauses for comp in split_components(cnf)]
+            return units, [tuple(sorted(comp.clauses)) for comp in split_components(cnf)]
         units.append(lit)
 
 
@@ -419,15 +471,19 @@ def _split_clauses(search, split):
     units, components = split
     for low, comp, best in components:
         assert best or len(components) == 1
+        assert len(set(comp)) == len(comp)
         residual = [search.residual[i] for i in comp]
         assert low == min(abs(l) for c in residual for l in c)
         if best:
             occ = Counter(abs(l) for c in residual for l in c)
             assert best == max(occ.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-    return units, [tuple(search.residual[i] for i in comp) for _, comp, _ in components]
+    return units, [tuple(sorted(search.residual[i] for i in comp)) for _, comp, _ in components]
 
 
 def _state(search):
+    for i, s in enumerate(search.state):
+        if s and len(search.residual[i]) >= 2:
+            assert search.ids[search.residual[i]] == search.rid[i]
     return [bool(s) for s in search.state], list(search.residual)
 
 
@@ -480,7 +536,7 @@ def _check_shared_state(cnf, rng, lits=(None, None, None)):
             assert _state(search) == _state(fresh)
     search.undo(first)
     assert _state(search) == _state(_Search(cnf))
-    assert search.mark() == (0, 0)
+    assert search.mark() == (0, 0, 0)
 
 
 class TestPropagate:
