@@ -64,14 +64,16 @@ def variables(mask: int):
         v = digits.find("1", v + 1)
 
 
-def reached_from(root: int, children, stop=frozenset()) -> set[int]:
+def reached_from(root: int, nodes, stop=frozenset()) -> set[int]:
     """The ids reached from ``root`` through no node of ``stop`` above them.
-    ``children(i)`` gives the ids below node i, which are all smaller than
-    i, so one downward sweep finds them all."""
+    ``nodes`` is indexed by id, and ``nodes[i][2]`` holds the ids below node
+    i, which are all smaller than i: one downward sweep finds them all, and
+    adds each node's children with one ``set.update``."""
     reached = {root}
+    update = reached.update
     for nid in range(root, -1, -1):
         if nid in reached and nid not in stop:
-            reached.update(children(nid))
+            update(nodes[nid][2])
     return reached
 
 
@@ -225,9 +227,7 @@ class Circuit:
         """
         root = self.root
         if self._reachable[0] != root:
-            nodes = self._nodes
-            reached = reached_from(root, lambda nid: nodes[nid].children)
-            self._reachable = (root, tuple(sorted(reached)))
+            self._reachable = (root, tuple(sorted(reached_from(root, self._nodes))))
         return self._reachable[1]
 
     def __eq__(self, other) -> bool:
@@ -250,18 +250,26 @@ class Circuit:
 # Metrics
 
 
+def edges_and_size(nodes, ids) -> tuple[int, int]:
+    """The edges below the nodes ``ids`` of the id-indexed ``nodes``, and
+    their binary operations: a node with k >= 1 children adds k - 1, so the
+    size is the edge count less the number of nodes with children. Both are
+    C-level passes over the child tuples, which ``nodes[i][2]`` holds."""
+    kids = [nodes[nid][2] for nid in ids]
+    edges = sum(map(len, kids))
+    return edges, edges - len(kids) + kids.count(())
+
+
 def size(circuit: Circuit) -> int:
     """Number of binary operations: an internal node with k inputs counts
     as k - 1. Literals, true and false count as zero."""
-    return sum(len(node.children) - 1 for node in map(circuit.node, circuit.reachable())
-               if node.children)
+    return edges_and_size(circuit._nodes, circuit.reachable())[1]
 
 
 def stats_line(circuit: Circuit) -> str:
-    reach = circuit.reachable()
-    edges = sum(len(circuit.node(n).children) for n in reach)
+    edges, ops = edges_and_size(circuit._nodes, circuit.reachable())
     return (
-        f"size={size(circuit)} nodes={len(reach)} edges={edges} "
+        f"size={ops} nodes={len(circuit.reachable())} edges={edges} "
         f"vars={circuit.universe_mask.bit_count()} tseitin={circuit.tseitin_mask.bit_count()}"
     )
 
@@ -285,20 +293,19 @@ def write_nnf(circuit: Circuit) -> str:
     position = dict(zip(reach, map(str, range(len(reach)))))
     universe, gates = circuit.universe_mask, circuit.tseitin_mask
     num_vars = max(universe.bit_length() - 1, 0)
-    edges = sum(len(circuit.node(n).children) for n in reach)
-    lines = [f"nnf {len(reach)} {edges} {num_vars}"]
+    nodes = circuit._nodes
+    lines = [f"nnf {len(reach)} {edges_and_size(nodes, reach)[0]} {num_vars}"]
     if universe != range_mask(num_vars):
         lines.append("c universe " + " ".join(map(str, variables(universe))))
     if gates:
         lines.append("c tseitin " + " ".join(map(str, variables(gates))))
     for nid in reach:
-        node = circuit.node(nid)
-        if node.kind == LIT:
-            lines.append(f"L {node.lit}")
+        kind, lit, children, decision, _ = nodes[nid]
+        if kind == LIT:
+            lines.append(f"L {lit}")
         else:
-            tag = "A" if node.kind == AND else f"O {node.decision}"
-            ids = map(position.__getitem__, node.children)
-            lines.append(" ".join([tag, str(len(node.children)), *ids]))
+            tag = "A" if kind == AND else f"O {decision}"
+            lines.append(" ".join([tag, str(len(children)), *map(position.__getitem__, children)]))
     return "\n".join(lines) + "\n"
 
 

@@ -126,19 +126,26 @@ def _common_denominator(weights: WeightMap) -> int | None:
 def _weighted_fold(circuit: Circuit, weights: WeightMap, gap_factor) -> dict[int, object]:
     """The weighted count of every reachable node, over the variables that
     node mentions: the one bottom-up pass behind every count. True and false
-    are the empty product 1 and the empty sum 0."""
-    node_of, weight = circuit.node, weights.weight
+    are the empty product 1 and the empty sum 0. Each node is unpacked from
+    the arena's node list, and an OR child's gap is the XOR of the two masks
+    there; only a nonempty gap calls ``gap_factor``. A literal's weight is
+    read from ``literal_weights``, or is ``default``; only a None read goes
+    through ``WeightMap.weight``, which gives the default or raises."""
+    nodes, listed, default = circuit._nodes, weights.literal_weights, weights.default
     values: dict[int, object] = {}
     value = values.__getitem__
     for nid in circuit.reachable():
-        kind, lit, children, _, mask = node_of(nid)
+        kind, lit, children, _, mask = nodes[nid]
         if kind == AND:
             # math.prod multiplies left to right from 1, as a loop would.
             values[nid] = math.prod(map(value, children))
         elif kind == OR:
-            values[nid] = sum(value(c) * gap_factor(mask ^ node_of(c).mask) for c in children)
+            # sum(), not a loop of +: Python 3.12 compensates float sums.
+            values[nid] = sum([values[c] * (gap_factor(gap) if (gap := mask ^ nodes[c][4]) else 1)
+                               for c in children])
         else:
-            values[nid] = weight(lit)
+            w = listed.get(lit, default)
+            values[nid] = weights.weight(lit) if w is None else w
     return values
 
 
@@ -146,7 +153,9 @@ def _gap_factors(universe: int, weights: WeightMap):
     """The function from a gap (the mask of the variables an OR child, or the
     root, leaves out) to the product of their pair sums ``w(v) + w(-v)`` in
     ascending variable order, which fixes float rounding; an empty gap gives
-    1. Pair sums are read once, and only for the variables the map lists.
+    1. Pair sums are read once, and only for the variables the map lists:
+    each entry of ``literal_weights`` is read once, and a literal that is
+    missing or None there weighs ``default``, as ``WeightMap.weight`` reads it.
     When every universe variable has the same pair sum p, an int or the float
     1.0, a gap of k variables gives ``p ** k``: the "neutral sum" case of
     algebraic model counting (Kimmig, Van den Broeck & De Raedt, JAL 2017),
@@ -155,11 +164,13 @@ def _gap_factors(universe: int, weights: WeightMap):
     listed = universe & mask_of({v for v in map(abs, weights.literal_weights) if v < bound})
     unlisted = None if default is None else default + default  # the others' pair sum
     sums, missing = {}, []
+    read = {lit: default if w is None else w for lit, w in weights.literal_weights.items()}
     for v in variables(listed):
-        try:
-            sums[v] = weights.pair_sum(v)
-        except MissingWeightError:
+        pos, neg = read.get(v, default), read.get(-v, default)
+        if pos is None or neg is None:
             missing.append(v)
+        else:
+            sums[v] = pos + neg
     distinct = {(type(s), s) for s in sums.values()}
     others = universe ^ listed
     unpaired = mask_of(missing) | (others if unlisted is None else 0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import AND, LIT, OR, Circuit, mask_within, reached_from, size
+from .circuit import AND, LIT, OR, Circuit, edges_and_size, mask_within, reached_from, size
 from .counting import annotate_counts
 from .errors import ToolkitError
 
@@ -81,13 +81,9 @@ def artifact_flags(circuit: Circuit) -> set[int]:
     """All reachable nodes whose model count equals 2^(mentioned non-gate
     variables) -- exactly the subcircuits that become tautologies when the
     circuit's designated gate variables are forgotten."""
-    counts = annotate_counts(circuit)
-    plain = circuit.universe_mask & ~circuit.tseitin_mask
-    flagged = set()
-    for nid in circuit.reachable():
-        if counts[nid] == 1 << (circuit.node(nid).mask & plain).bit_count():
-            flagged.add(nid)
-    return flagged
+    nodes, plain = circuit._nodes, circuit.universe_mask & ~circuit.tseitin_mask
+    return {nid for nid, count in annotate_counts(circuit).items()
+            if count == 1 << (nodes[nid][4] & plain).bit_count()}
 
 
 def detect_artifacts(circuit: Circuit) -> set[int]:
@@ -95,8 +91,7 @@ def detect_artifacts(circuit: Circuit) -> set[int]:
     flagged = artifact_flags(circuit)
     if circuit.root is None:
         return set()
-    below = reached_from(circuit.root, lambda nid: circuit.node(nid).children, flagged)
-    return flagged & below
+    return flagged & reached_from(circuit.root, circuit._nodes, flagged)
 
 
 def prune(circuit: Circuit) -> tuple[Circuit, PruneReport]:
@@ -117,7 +112,7 @@ def prune(circuit: Circuit) -> tuple[Circuit, PruneReport]:
     roots = detect_artifacts(circuit)
     # A degenerate root (a gate-variable literal or true) becomes true under
     # quantification anyway, so only roots with children can change the rebuild.
-    internal = frozenset(nid for nid in roots if circuit.node(nid).children)
+    internal = frozenset(nid for nid in roots if circuit._nodes[nid][2])
     pruned, mapping = _rebuild(circuit, xs, internal)
     after_p = _size_quantified(circuit, internal, pruned, mapping) if internal else None
     del mapping  # before the sweep that sizes ``pruned``: a lower peak
@@ -172,17 +167,17 @@ def _quantify(
     mapping: dict[int, int] = {}
     image = mapping.__getitem__
     true = false = -1  # the constants' ids in ``out``, once added
+    nodes = circuit._nodes
     for nid in circuit.reachable():
-        node = circuit.node(nid)
-        kind = node.kind
-        if nid in replace_true or (kind == LIT and xs & node.mask):
+        kind, lit, children, decision, mask = nodes[nid]
+        if nid in replace_true or (kind == LIT and xs & mask):
             kind, kept = AND, ()
         elif kind == LIT:
-            mapping[nid] = out.add_literal(node.lit)
+            mapping[nid] = out.add_literal(lit)
             continue
         else:
             unit, zero = (true, false) if kind == AND else (false, true)
-            kept = set(map(image, node.children))
+            kept = set(map(image, children))
             kept.discard(unit)
             if zero in kept:
                 mapping[nid] = zero
@@ -192,7 +187,7 @@ def _quantify(
         elif kind == AND:
             mapping[nid] = out.add_and(kept)
         else:
-            decision = 0 if node.decision > 0 and xs >> node.decision & 1 else node.decision
+            decision = 0 if decision > 0 and xs >> decision & 1 else decision
             mapping[nid] = out.add_or(kept, decision=decision)
         if not kept:
             if kind == AND:
@@ -216,21 +211,21 @@ def _size_quantified(
     """
     table = dict(pruned._dedup)  # (kind, children) -> id, the side's ids added
     base = len(pruned)
-    side_children: list[tuple[int, ...]] = []  # of the side's nodes, by id - base
+    side: list[tuple] = []  # the side's nodes, by id - base: (kind, 0, children)
     image = mapping.__getitem__
     # A re-imaged node is a constant only where a child's image already is
     # one, so no side node is: the constants are those of ``pruned``, and
     # None where it has none.
     true, false = table.get((AND, ())), table.get((OR, ()))
     redo: set[int] = set()
+    nodes = circuit._nodes
     for nid in circuit.reachable():
-        node = circuit.node(nid)
-        if nid not in internal and redo.isdisjoint(node.children):
+        kind, _, children, _, _ = nodes[nid]
+        if nid not in internal and redo.isdisjoint(children):
             continue
         redo.add(nid)
-        kind = node.kind
         unit, zero = (true, false) if kind == AND else (false, true)
-        kept = set(map(image, node.children))
+        kept = set(map(image, children))
         kept.discard(unit)
         if zero in kept:
             mapping[nid] = zero
@@ -239,11 +234,10 @@ def _size_quantified(
             mapping[nid] = next(iter(kept))
             continue
         key = (kind, tuple(sorted(kept)))
-        fresh = base + len(side_children)
+        fresh = base + len(side)
         mapping[nid] = found = table.setdefault(key, fresh)
         if found == fresh:
-            side_children.append(key[1])
+            side.append((kind, 0, key[1]))
 
-    children = [node.children for node in map(pruned.node, range(base))] + side_children
-    reached = map(children.__getitem__, reached_from(mapping[circuit.root], children.__getitem__))
-    return sum(len(kids) - 1 for kids in reached if kids)
+    nodes = pruned._nodes + side
+    return edges_and_size(nodes, reached_from(mapping[circuit.root], nodes))[1]

@@ -459,6 +459,11 @@ def _pinned_weight_maps(rng, universe):
     for m in maps[:5]:
         kept = {x: w for x, w in m.literal_weights.items() if rng.random() < 0.9}
         maps.append(WeightMap(kept, default=None))
+    # Explicit None entries read as unlisted: the literal weighs the default,
+    # and with default None its weight is missing.
+    for m, default in zip(maps[:7], (None, Fraction(1, 3), None, 0.25, Fraction(2), 3, None)):
+        holes = {x: None if rng.random() < 0.1 else w for x, w in m.literal_weights.items()}
+        maps.append(WeightMap(holes, default=default))
     return maps
 
 
