@@ -391,19 +391,17 @@ def _parse_c2d(text: str) -> Circuit:
     universe_mask = circuit.universe_mask
     edges = 0
 
-    def checked(lineno: int, fields: list[str]) -> tuple[int, list[int] | None]:
+    def checked(lineno: int, fields: list[str]) -> tuple[int, list[int]]:
         # Every field through int(), then the checks in their order; the
-        # first fault is the one named. Gives a literal line's literal and
-        # None, or an internal line's decision and child ids.
+        # first fault is the one named. Gives an internal line's decision
+        # and child ids: every valid literal line takes the fast path.
         tag = fields[0]
         try:
             args = list(map(int, fields[1:]))
         except ValueError:
             raise NnfFormatError(f"line {lineno}: non-integer argument") from None
         if tag == "L":
-            if len(args) != 1 or args[0] == 0:
-                raise NnfFormatError(f"line {lineno}: malformed literal node")
-            return args[0], None
+            raise NnfFormatError(f"line {lineno}: malformed literal node")
         if tag == "A":
             if not args or args[0] != len(args) - 1:
                 raise NnfFormatError(f"line {lineno}: AND child count mismatch")

@@ -146,34 +146,33 @@ def _rebuild(
     out = Circuit(universe=circuit.universe_mask & ~xs, tseitin_vars=circuit.tseitin_mask & ~xs)
     mapping: dict[int, int] = {}
     if circuit.root is not None:
-        mapping = _quantify(circuit, xs, replace_true, out)
+        _image(circuit._nodes, circuit.reachable(), xs, replace_true, mapping,
+               out.add_literal, out._add_internal, None, None)
         out.set_root(mapping[circuit.root])
     return out, mapping
 
 
-def _quantify(
-    circuit: Circuit, xs: int, replace_true: frozenset[int], out: Circuit
-) -> dict[int, int]:
-    """Add to ``out`` the image of every node reachable from the root, and
-    return each node's image id. The literals of the mask ``xs``'s variables
-    and the nodes of ``replace_true`` become true, the AND of nothing; then
-    constants propagate: a false child makes an AND false and a true child
-    makes an OR true, other constant children are dropped, and a node left
-    with one child is that child. A constant is added when first needed.
+def _image(nodes, ids, xs, replace_true, mapping, add_literal, add_internal, true, false):
+    """Image the nodes ``ids``, ascending, into ``mapping``, which holds the
+    image of every child already; ``true`` and ``false`` are the constants'
+    image ids, None while there is none. The literals of the mask ``xs``'s
+    variables and the nodes of ``replace_true`` become true, the AND of
+    nothing; then constants propagate: a false child makes an AND false and
+    a true child makes an OR true, other constant children are dropped, and
+    a node left with one child is that child. An OR that decides a variable
+    of ``xs`` decides nothing. Literals go to ``add_literal(lit)``, other
+    nodes to ``add_internal(kind, children, decision)``.
 
-    This is the one quantifying pass: the report's size after quantification
-    alone is read from its images by ``_size_quantified``, which adds nothing.
+    This is the one constant rule: the pruned build images every node, and
+    ``_size_quantified`` the nodes at or above an internal artifact root.
     """
-    mapping: dict[int, int] = {}
     image = mapping.__getitem__
-    true = false = -1  # the constants' ids in ``out``, once added
-    nodes = circuit._nodes
-    for nid in circuit.reachable():
+    for nid in ids:
         kind, lit, children, decision, mask = nodes[nid]
         if nid in replace_true or (kind == LIT and xs & mask):
             kind, kept = AND, ()
         elif kind == LIT:
-            mapping[nid] = out.add_literal(lit)
+            mapping[nid] = add_literal(lit)
             continue
         else:
             unit, zero = (true, false) if kind == AND else (false, true)
@@ -184,17 +183,15 @@ def _quantify(
                 continue
         if len(kept) == 1:
             mapping[nid] = next(iter(kept))
-        elif kind == AND:
-            mapping[nid] = out.add_and(kept)
-        else:
-            decision = 0 if decision > 0 and xs >> decision & 1 else decision
-            mapping[nid] = out.add_or(kept, decision=decision)
+            continue
+        if decision > 0 and xs >> decision & 1:
+            decision = 0
+        mapping[nid] = new = add_internal(kind, kept, decision)
         if not kept:
             if kind == AND:
-                true = mapping[nid]
+                true = new
             else:
-                false = mapping[nid]
-    return mapping
+                false = new
 
 
 def _size_quantified(
@@ -203,41 +200,33 @@ def _size_quantified(
     """``size(exists_quantify(circuit, gates))``, from the images ``mapping``
     of the build of ``pruned``, which replaced the nodes ``internal`` with
     true. The two images of a node differ only at or above a node of
-    ``internal``, so only those nodes are imaged again, as ``_quantify``
-    would image them, and ``mapping`` is overwritten there. An image already
-    in ``pruned`` keeps its id; any other goes to a side table, with ids from
-    ``len(pruned)`` up, so a child's id is still below its parent's. Nothing
-    is added to ``pruned``.
+    ``internal``, so ``_image`` images only those nodes again, overwriting
+    ``mapping`` there. An image already in ``pruned`` keeps its id; any
+    other goes to a side table, with ids from ``len(pruned)`` up, so a
+    child's id is still below its parent's. Nothing is added to ``pruned``.
     """
+    nodes = circuit._nodes
+    redo: set[int] = set()
+    for nid in circuit.reachable():
+        if nid in internal or not redo.isdisjoint(nodes[nid][2]):
+            redo.add(nid)
+
     table = dict(pruned._dedup)  # (kind, children) -> id, the side's ids added
     base = len(pruned)
     side: list[tuple] = []  # the side's nodes, by id - base: (kind, 0, children)
-    image = mapping.__getitem__
-    # A re-imaged node is a constant only where a child's image already is
-    # one, so no side node is: the constants are those of ``pruned``, and
-    # None where it has none.
-    true, false = table.get((AND, ())), table.get((OR, ()))
-    redo: set[int] = set()
-    nodes = circuit._nodes
-    for nid in circuit.reachable():
-        kind, _, children, _, _ = nodes[nid]
-        if nid not in internal and redo.isdisjoint(children):
-            continue
-        redo.add(nid)
-        unit, zero = (true, false) if kind == AND else (false, true)
-        kept = set(map(image, children))
-        kept.discard(unit)
-        if zero in kept:
-            mapping[nid] = zero
-            continue
-        if len(kept) == 1:
-            mapping[nid] = next(iter(kept))
-            continue
-        key = (kind, tuple(sorted(kept)))
-        fresh = base + len(side)
-        mapping[nid] = found = table.setdefault(key, fresh)
-        if found == fresh:
-            side.append((kind, 0, key[1]))
 
+    def add_side(kind, children, decision):
+        key = (kind, tuple(sorted(children)))
+        nid = table.get(key)
+        if nid is None:
+            nid = table[key] = base + len(side)
+            side.append((kind, 0, key[1]))
+        return nid
+
+    # The redone nodes all have children, so none is a literal. One is a
+    # constant only where a child's image already is one, so the constants
+    # are those of ``pruned``, and None where it has none.
+    _image(nodes, sorted(redo), circuit.tseitin_mask, (), mapping, None, add_side,
+           table.get((AND, ())), table.get((OR, ())))
     nodes = pruned._nodes + side
     return edges_and_size(nodes, reached_from(mapping[circuit.root], nodes))[1]

@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddnnf import (
@@ -509,7 +509,9 @@ def _check_shared_state(cnf, rng, lits=(None, None, None)):
     residual."""
 
     def step(search, lit, comp):
-        before = CnfInstance(cnf.num_vars, tuple(search.residual[i] for i in comp))
+        # The reference takes units in clause order: a component's positions
+        # come in search order, so they are read ascending.
+        before = CnfInstance(cnf.num_vars, tuple(search.residual[i] for i in sorted(comp)))
         split = search.propagate(lit, comp)
         assert _split_clauses(search, split) == _propagate_reference(before, lit)
         return split
@@ -541,6 +543,7 @@ def _check_shared_state(cnf, rng, lits=(None, None, None)):
 
 class TestPropagate:
     @given(cnf_strategy(max_vars=8, max_clauses=16), st.integers(min_value=0, max_value=2**32))
+    @example(CnfInstance(4, ((-2, -1), (-3, 4), (-1, 4))), 48085)
     @settings(max_examples=300, deadline=None)
     def test_matches_one_unit_at_a_time(self, cnf, seed):
         _check_shared_state(cnf, random.Random(seed))

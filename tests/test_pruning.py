@@ -7,6 +7,7 @@ from ddnnf import (
     Circuit,
     CircuitTables,
     CompileConfig,
+    WeightMap,
     compile_cnf,
     detect_tseitin_vars,
     model_count,
@@ -15,6 +16,7 @@ from ddnnf import (
     parse_nnf,
     size,
     tseitin_transform,
+    weighted_model_count,
     write_nnf,
 )
 from ddnnf.bench import gen_mutex_cpt, gen_noisy_or, gen_overlapping_disjunction
@@ -412,3 +414,54 @@ class TestSizeAfterExists:
         encoded = tseitin_transform(formula)
         report = self._check(compile_cnf(encoded.cnf, CompileConfig(order="dynamic")))
         assert report.artifacts_internal > 0
+
+
+def _identity_weights(circuit, rng):
+    # Each input literal an independent weight in [1, 2^61), each gate
+    # literal 1 in both signs.
+    weights = {}
+    for v in circuit.universe:
+        for lit in (v, -v):
+            weights[lit] = 1 if circuit.tseitin_mask >> v & 1 else rng.randrange(1, 1 << 61)
+    return WeightMap(weights, default=None)
+
+
+class TestRandomWeightIdentity:
+    """At random input weights and gate weights 1, the compiled circuit's
+    exact weighted count sums each input model's gate extensions. It equals
+    the pruned circuit's, and that of the circuit quantification alone
+    builds, iff both are the compiled circuit with its gates forgotten and
+    every input model has at most one extension: the counts of two
+    deterministic, decomposable circuits are multilinear polynomials in the
+    weights, so one random evaluation tells unequal ones apart but with
+    probability at most (variables) / 2^61 (Schwartz, JACM 1980). Equal
+    model counts miss most wrong circuits."""
+
+    def _check(self, circuit, rng):
+        weights = _identity_weights(circuit, rng)
+        expected = weighted_model_count(circuit, weights)
+        pruned, _ = prune(circuit)
+        assert weighted_model_count(pruned, weights) == expected
+        exists_only = exists_quantify(circuit, circuit.tseitin_mask)
+        assert weighted_model_count(exists_only, weights) == expected
+
+    @pytest.mark.parametrize(
+        "formula, order",
+        [
+            (gen_mutex_cpt(24, 2, 0), "dynamic"),
+            (gen_noisy_or(64), "dynamic"),
+            (gen_overlapping_disjunction(150), "dynamic"),
+            (gen_overlapping_disjunction(40), "input"),
+        ],
+        ids=["mutex_p2_n24_s0", "noisy_or_n64", "overlap_n150", "overlap_n40-input"],
+    )
+    def test_benchmark_families(self, formula, order):
+        encoded = tseitin_transform(formula)
+        self._check(compile_cnf(encoded.cnf, CompileConfig(order=order)), random.Random(61))
+
+    def test_random_encoded_formulas(self):
+        rng = random.Random(67)
+        for i in range(80):
+            encoded = tseitin_transform(random_formula(rng, max_vars=6, depth=4))
+            order = ("input", "dynamic", shuffled_order(encoded.cnf.num_vars, i))[i % 3]
+            self._check(compile_cnf(encoded.cnf, CompileConfig(order=order)), rng)
