@@ -12,7 +12,6 @@ from .bench import (
 )
 from .circuit import (
     Circuit,
-    Node,
     parse_nnf,
     size,
     stats_line,

@@ -9,7 +9,6 @@ import warnings
 from collections.abc import Generator
 from functools import reduce
 from operator import or_
-from typing import NamedTuple
 
 from .errors import ToolkitError
 
@@ -109,24 +108,6 @@ def mask_within(vs, universe: int) -> int | None:
     return None if vs & ~universe else vs
 
 
-class Node(NamedTuple):
-    """One arena node. A tuple: building one skips a dataclass ``__init__``,
-    which matters because parsing and pruning build one per line or node.
-    The arena builds its nodes with ``tuple.__new__``, which also skips the
-    tuple's own Python-level ``__new__``."""
-
-    kind: str
-    lit: int = 0
-    children: tuple[int, ...] = ()
-    decision: int = 0
-    mask: int = 0  # bit v is set iff the node mentions variable v
-
-    @property
-    def varset(self) -> frozenset[int]:
-        """The variables the node mentions."""
-        return frozenset(variables(self.mask))
-
-
 class Circuit:
     """Single-rooted DAG of AND/OR/literal nodes. True is the AND of nothing
     and false the OR of nothing.
@@ -138,7 +119,10 @@ class Circuit:
     An OR whose children repeat is refused too: it would count a child's
     models twice.
     The arena never simplifies; constant propagation belongs to the pruning
-    pass. The declared universe and its gate variables are the masks
+    pass. A node is the plain tuple ``(kind, lit, children, decision, mask)``:
+    a c2d tag, its literal (0 unless a literal), the ascending child ids, an
+    OR's decision variable (else 0), and the mask of the variables it
+    mentions. The declared universe and its gate variables are the masks
     ``universe_mask`` and ``tseitin_mask``; each argument is such a mask or a
     set of variables, and variables start at 1.
     """
@@ -153,8 +137,8 @@ class Circuit:
         self.tseitin_mask = tseitin_mask
         self.root: int | None = None
         self._reachable: tuple[int | None, tuple[int, ...]] = (None, ())  # root, ids
-        self._nodes: list[Node] = []
-        # node(nid) is the Node with that id: the list's own lookup, the
+        self._nodes: list[tuple] = []
+        # node(nid) is the node with that id: the list's own lookup, the
         # cheapest call, since every pass over the circuit makes it per node.
         self.node = self._nodes.__getitem__
         # The id of each literal's node, keyed by the literal: a known
@@ -169,7 +153,7 @@ class Circuit:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    # Every lookup comes before any Node is built: most calls find the node.
+    # Every lookup comes before any node is built: most calls find the node.
 
     def add_literal(self, lit: int) -> int:
         nid = self.literal_ids.get(lit)
@@ -181,7 +165,7 @@ class Circuit:
         if lit == 0 or var >= universe.bit_length() or not universe & (mask := 1 << var):
             raise ValueError(f"literal {lit} outside universe")
         nid = len(self._nodes)
-        self._nodes.append(tuple.__new__(Node, (LIT, lit, (), 0, mask)))
+        self._nodes.append((LIT, lit, (), 0, mask))
         self.literal_ids[lit] = nid
         return nid
 
@@ -196,7 +180,7 @@ class Circuit:
         if kids and (kids[0] < 0 or kids[-1] >= nid):
             bad = next(c for c in kids if not 0 <= c < nid)
             raise ValueError(f"unknown child id {bad}")
-        masks = [nodes[c].mask for c in kids]
+        masks = [nodes[c][4] for c in kids]
         mask = reduce(or_, masks, 0)
         # The masks of pairwise disjoint children add up to their union.
         if kind == AND and sum(masks) != mask:
@@ -204,7 +188,7 @@ class Circuit:
         if kind == OR and len(set(kids)) < len(kids):
             raise ValueError("OR children repeat")
         # A decision picks one child, so the OR of nothing (false) has none.
-        nodes.append(tuple.__new__(Node, (kind, 0, kids, decision if kids else 0, mask)))
+        nodes.append((kind, 0, kids, decision if kids else 0, mask))
         self._dedup[key] = nid
         return nid
 

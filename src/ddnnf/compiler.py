@@ -105,17 +105,17 @@ def compile(cnf: CnfInstance, config: CompileConfig | None = None) -> Circuit:
         return max(occ, key=lambda v: (occ[v], -v))
 
     def is_false(nid: int) -> bool:  # the OR of nothing
-        node = circuit.node(nid)
-        return node.kind == OR and not node.children
+        kind, _, children, _, _ = circuit.node(nid)
+        return kind == OR and not children
 
     def mk_and(literals, parts: list[int]) -> int:
         # The AND of the literal ids and the parts, AND parts flattened.
         merged = set(literals)
         for p in parts:
-            node = circuit.node(p)
-            if node.kind == AND:
-                merged.update(node.children)
-            elif node.kind == OR and not node.children:
+            kind, _, children, _, _ = circuit.node(p)
+            if kind == AND:
+                merged.update(children)
+            elif kind == OR and not children:
                 return p  # false
             else:
                 merged.add(p)

@@ -103,7 +103,7 @@ def weighted_model_count(circuit: Circuit, weights: WeightMap):
     universe = circuit.universe_mask
     gap_factor = _gap_factors(universe, weights)
     values = _weighted_fold(circuit, weights, gap_factor)
-    total = values[circuit.root] * gap_factor(universe ^ circuit.node(circuit.root).mask)
+    total = values[circuit.root] * gap_factor(universe ^ circuit.node(circuit.root)[4])
     if denominator is None:
         return total
     return Fraction(total, denominator ** universe.bit_count())

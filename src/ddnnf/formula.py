@@ -110,21 +110,19 @@ def vars_of(f: Formula) -> set[str]:
 
 def _collect_names(f: Formula) -> list[str]:
     """The variable names of ``f`` in order of first occurrence, reading
-    the formula left to right."""
-    seen: dict[str, None] = {}
+    the formula left to right. A shared sub-object is read once: when it
+    comes again, every name below it has been seen."""
+    names: dict[str, None] = {}
+    visited: set[int] = set()  # ids of the inner objects read; f keeps them alive
     stack = [f]
     while stack:
         g = stack.pop()
         if isinstance(g, Var):
-            seen.setdefault(g.name)
-        elif isinstance(g, Not):
-            stack.append(g.child)
-        elif isinstance(g, (And, Or)):
-            stack.extend(reversed(g.children))
-        elif isinstance(g, Iff):
-            stack.append(g.right)
-            stack.append(g.left)
-    return list(seen)
+            names.setdefault(g.name)
+        elif id(g) not in visited:
+            visited.add(id(g))
+            stack.extend(reversed(_children(g)))
+    return list(names)
 
 
 def _children(g: Formula) -> tuple[Formula, ...]:

@@ -127,19 +127,19 @@ class CircuitTables:
             raise ValueError("circuit has no root")
         _check_bound(circuit.universe_mask.bit_count())
         self.circuit = circuit
-        self.order = tuple(mask_variables(circuit.node(circuit.root).mask))
+        self.order = tuple(mask_variables(circuit.node(circuit.root)[4]))
         self.nbits = 1 << len(self.order)
         # True is an AND of nothing, false an OR of nothing.
         masks, full = _masks(self.order)
         tables: dict[int, int] = {}
         for nid in circuit.reachable():
-            node = circuit.node(nid)
-            ts = map(tables.__getitem__, node.children)
-            if node.kind == LIT:
-                m = masks[abs(node.lit)]
-                tables[nid] = m if node.lit > 0 else full ^ m
+            kind, lit, children, _, _ = circuit.node(nid)
+            ts = map(tables.__getitem__, children)
+            if kind == LIT:
+                m = masks[abs(lit)]
+                tables[nid] = m if lit > 0 else full ^ m
             else:
-                tables[nid] = reduce(and_, ts, full) if node.kind == AND else reduce(or_, ts, 0)
+                tables[nid] = reduce(and_, ts, full) if kind == AND else reduce(or_, ts, 0)
         self.tables, self.full = tables, full
 
     def deterministic(self) -> bool:
@@ -147,8 +147,9 @@ class CircuitTables:
         to their union iff no bit is set in two of them."""
         tables, circuit = self.tables, self.circuit
         for nid in circuit.reachable():
-            kids = [tables[c] for c in circuit.node(nid).children]
-            if circuit.node(nid).kind == OR and sum(kids) != reduce(or_, kids, 0):
+            kind, _, children, _, _ = circuit.node(nid)
+            kids = [tables[c] for c in children]
+            if kind == OR and sum(kids) != reduce(or_, kids, 0):
                 return False
         return True
 
@@ -156,7 +157,7 @@ class CircuitTables:
         """Is node ``nid`` a tautology over the variables it mentions outside
         the mask ``variables``, once those in it are forgotten?"""
         table = self.tables[nid]
-        mask = self.circuit.node(nid).mask
+        mask = self.circuit.node(nid)[4]
         for j, v in enumerate(self.order):
             if variables >> v & 1 or not mask >> v & 1:
                 table = _exists_at(table, j, self.nbits)

@@ -136,7 +136,7 @@ def residual_artifacts(pruned: Circuit) -> list[int]:
     no gate variables, so every flagged node is one; true, the one without
     children, may stay. Nonempty when the input broke a precondition of
     pruning, such as a gate variable the other variables do not define."""
-    return sorted(nid for nid in artifact_flags(pruned) if pruned.node(nid).children)
+    return sorted(nid for nid in artifact_flags(pruned) if pruned.node(nid)[2])
 
 
 def _rebuild(

@@ -5,6 +5,7 @@ import random
 import hypothesis.strategies as st
 
 from ddnnf import And, CnfInstance, Const, Iff, Not, Or, Var, conj, disj, vars_of
+from ddnnf.circuit import variables as mask_variables
 from ddnnf.cnf import Clause
 
 NAMES = ["a", "b", "c", "d", "e", "f", "g", "h"]
@@ -250,12 +251,12 @@ def circuit_rows(circuit) -> list[tuple[dict, dict[int, bool]]]:
     for _, env in assignments(tuple(sorted(circuit.universe))):
         values: dict[int, bool] = {}
         for nid in circuit.reachable():
-            node = circuit.node(nid)
-            kids = [values[c] for c in node.children]
-            if node.kind == "L":
-                values[nid] = env[abs(node.lit)] == (node.lit > 0)
+            kind, lit, children, _, _ = circuit.node(nid)
+            kids = [values[c] for c in children]
+            if kind == "L":
+                values[nid] = env[abs(lit)] == (lit > 0)
             else:  # true is an AND of nothing, false an OR of nothing
-                values[nid] = all(kids) if node.kind in ("T", "A") else any(kids)
+                values[nid] = all(kids) if kind in ("T", "A") else any(kids)
         rows.append((env, values))
     return rows
 
@@ -269,15 +270,15 @@ def circuit_models(circuit) -> tuple[tuple, frozenset[int]]:
 
 def circuit_deterministic(circuit, rows) -> bool:
     """No assignment sets two children of one OR."""
-    ors = [circuit.node(nid).children for nid in circuit.reachable()
-           if circuit.node(nid).kind == "O"]
+    ors = [circuit.node(nid)[2] for nid in circuit.reachable()
+           if circuit.node(nid)[0] == "O"]
     return all(sum(values[c] for c in kids) <= 1 for _, values in rows for kids in ors)
 
 
 def tautology_after_exists(circuit, rows, variables, nid) -> bool:
     """Does every assignment to the variables ``nid`` mentions outside
     ``variables`` extend to one that makes ``nid`` true?"""
-    kept = sorted(circuit.node(nid).varset - set(variables))
+    kept = sorted(set(mask_variables(circuit.node(nid)[4])) - set(variables))
     seen = {tuple(env[v] for v in kept) for env, values in rows if values[nid]}
     return len(seen) == 1 << len(kept)
 

@@ -5,13 +5,17 @@ import pytest
 from ddnnf import (
     Circuit,
     CircuitTables,
+    exists_quantify,
     model_count,
     parse_dimacs,
     parse_nnf,
+    prune,
     size,
     stats_line,
+    tseitin_transform,
     write_nnf,
 )
+from ddnnf.bench import gen_noisy_or
 from ddnnf.circuit import mask_of, variables
 from ddnnf.compiler import CompileConfig, compile
 from ddnnf.errors import OracleBoundError
@@ -44,7 +48,7 @@ class TestArena:
         c = Circuit({1})
         assert c.add_and([]) == c.add_and(())
         assert c.add_or([], decision=1) == c.add_or(())
-        assert c.node(c.add_or(())).decision == 0
+        assert c.node(c.add_or(()))[3] == 0
         assert len(c) == 2
 
     def test_literal_outside_universe(self):
@@ -59,14 +63,14 @@ class TestArena:
         outer = c.add_or([inner, c.add_literal(3)])
         c.set_root(outer)
         for nid in c.reachable():
-            node = c.node(nid)
-            if node.kind == "L":
-                assert node.varset == {abs(node.lit)}
-            elif node.children:
+            kind, lit, children, _, mask = c.node(nid)
+            if kind == "L":
+                assert set(variables(mask)) == {abs(lit)}
+            elif children:
                 expected = frozenset().union(
-                    *(c.node(ch).varset for ch in node.children)
+                    *(variables(c.node(ch)[4]) for ch in children)
                 )
-                assert node.varset == expected
+                assert set(variables(mask)) == expected
 
     def test_reachable_follows_set_root_and_is_immutable(self):
         c = Circuit({1, 2, 3})
@@ -123,7 +127,7 @@ class TestLiteralTable:
         circuit = parse_nnf("nnf 4 2 2\nL 1\nL 2\nL 1\nO 0 2 1 2\n")
         assert len(circuit) == 3  # the second L 1 is the first one's node
         assert circuit.literal_ids == {1: 0, 2: 1}
-        assert circuit.node(circuit.root).children == (0, 1)
+        assert circuit.node(circuit.root)[2] == (0, 1)
         assert write_nnf(circuit) == "nnf 3 2 2\nL 1\nL 2\nO 0 2 0 1\n"
 
 
@@ -280,3 +284,26 @@ def test_mask_of_matches_shifted_bits():
     assert mask_of(iter([3, 3, 1])) == 0b1010
     with pytest.raises(ValueError):
         mask_of({1, -2})
+
+
+def _every_path_circuits():
+    """One circuit from each way a circuit is built: compiled in input and
+    dynamic order, pruned, quantified only, and read from c2d and d4 text."""
+    cnf = tseitin_transform(gen_noisy_or(4)).cnf
+    for order in ("input", "dynamic"):
+        compiled = compile(cnf, CompileConfig(order=order))
+        yield pytest.param(compiled, id=f"compiled-{order}")
+        yield pytest.param(prune(compiled)[0], id=f"pruned-{order}")
+        quantified = exists_quantify(compiled, compiled.tseitin_mask)
+        yield pytest.param(quantified, id=f"quantified-{order}")
+        yield pytest.param(parse_nnf(write_nnf(compiled)), id=f"c2d-{order}")
+    d4 = "1 o 0\n2 t 0\n3 a 0\n1 2 -1 0\n1 3 1 0\n3 2 2 -3 0\n"
+    yield pytest.param(parse_nnf(d4), id="d4")
+
+
+@pytest.mark.parametrize("circuit", list(_every_path_circuits()))
+def test_every_node_is_a_plain_tuple(circuit):
+    # (kind, lit, children, decision, mask): the exact tuple every pass unpacks
+    nodes = [circuit.node(nid) for nid in range(len(circuit))]
+    assert len(nodes) > 2
+    assert all(type(node) is tuple and len(node) == 5 for node in nodes)

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
@@ -464,6 +466,22 @@ class TestVerify:
         code, out, _ = _run(capsys, "verify", str(workspace / "f.nnf"),
                             "--tvars", str(workspace / "f.tvars"))
         assert code == 0
+
+    def test_tables_at_oracle_bound(self, tmp_path, capsys):
+        # a0 | ... | a19 has 2^20 - 1 models. As sets of ints they peaked at
+        # 136 MB traced; each truth table is one int of 2^20 bits.
+        path = tmp_path / "or20.bool"
+        path.write_text(" | ".join(f"a{i}" for i in range(20)) + "\n")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, "verify", str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert out.count("ok ") == 9 and "FAIL" not in out
+        assert peak < 48 * 2**20
 
     def test_oracle_bound_error_prefix(self, workspace, capsys, monkeypatch):
         monkeypatch.setenv("DDNNF_ORACLE_MAX_VARS", "2")

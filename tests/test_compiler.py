@@ -24,7 +24,7 @@ from ddnnf import (
     stats_line,
     write_nnf,
 )
-from ddnnf.circuit import NnfFormatError
+from ddnnf.circuit import NnfFormatError, variables
 from ddnnf.compiler import (
     CompileBudgetError,
     CompileConfig,
@@ -42,18 +42,18 @@ from test_cnf import OVERLAP_DIMACS
 class TestCompile:
     def test_unit_clause_becomes_literal(self):
         circuit = compile(CnfInstance.from_raw(1, [[1]]))
-        assert circuit.node(circuit.root).kind == "L"
-        assert circuit.node(circuit.root).lit == 1
+        assert circuit.node(circuit.root)[0] == "L"
+        assert circuit.node(circuit.root)[1] == 1
 
     def test_conflict_becomes_false(self):
         circuit = compile(CnfInstance.from_raw(1, [[1], [-1]]))
         root = circuit.node(circuit.root)
-        assert (root.kind, root.children) == ("O", ())  # false: the OR of nothing
+        assert (root[0], root[2]) == ("O", ())  # false: the OR of nothing
 
     def test_empty_cnf_becomes_true(self):
         circuit = compile(CnfInstance.from_raw(3, []))
         root = circuit.node(circuit.root)
-        assert (root.kind, root.children) == ("A", ())  # true: the AND of nothing
+        assert (root[0], root[2]) == ("A", ())  # true: the AND of nothing
         assert model_count(circuit) == 8
 
     def test_gate_subcircuit_under_first_branch(self):
@@ -64,8 +64,8 @@ class TestCompile:
         gate_nodes = [
             nid
             for nid in circuit.reachable()
-            if circuit.node(nid).varset == {3, 4, 6}
-            and circuit.node(nid).kind in ("A", "O")
+            if set(variables(circuit.node(nid)[4])) == {3, 4, 6}
+            and circuit.node(nid)[0] in ("A", "O")
         ]
         assert gate_nodes
         reference = _gate_models(circuit)
@@ -232,10 +232,11 @@ def test_renumbering_is_invisible():
         b = compile(spread_cnf, CompileConfig(order=spread_order))
         assert (len(b), b.root) == (len(a), a.root)
         for nid in range(len(a)):
-            x, y = a.node(nid), b.node(nid)
-            assert (y.kind, y.children) == (x.kind, x.children)
-            assert y.lit == (spread(x.lit) if x.lit else 0)
-            assert y.decision == (spread(x.decision) if x.decision else 0)
+            x_kind, x_lit, x_children, x_decision, _ = a.node(nid)
+            y_kind, y_lit, y_children, y_decision, _ = b.node(nid)
+            assert (y_kind, y_children) == (x_kind, x_children)
+            assert y_lit == (spread(x_lit) if x_lit else 0)
+            assert y_decision == (spread(x_decision) if x_decision else 0)
         assert _smallest_budget(spread_cnf, spread_order) == _smallest_budget(cnf, order)
 
 
@@ -431,7 +432,7 @@ def test_compile_memory_follows_clauses(variable, order):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    assert circuit.node(circuit.root).lit == variable
+    assert circuit.node(circuit.root)[1] == variable
 
 
 class TestDeepInputs:
@@ -624,19 +625,19 @@ class TestParseC2d:
     def test_two_literal_conjunction(self):
         circuit = parse_nnf("nnf 3 2 2\nL 1\nL 2\nA 2 0 1")
         root = circuit.node(circuit.root)
-        assert root.kind == "A"
-        assert {circuit.node(c).lit for c in root.children} == {1, 2}
+        assert root[0] == "A"
+        assert {circuit.node(c)[1] for c in root[2]} == {1, 2}
         assert circuit.universe == {1, 2}
 
     def test_constants(self):
         true, false = parse_nnf("nnf 1 0 0\nA 0").node(0), parse_nnf("nnf 1 0 0\nO 0 0").node(0)
-        assert (true.kind, true.children) == ("A", ())
-        assert (false.kind, false.children) == ("O", ())
+        assert (true[0], true[2]) == ("A", ())
+        assert (false[0], false[2]) == ("O", ())
 
     def test_decision_variable_preserved(self):
         text = "nnf 3 2 1\nL 1\nL -1\nO 1 2 0 1"
         circuit = parse_nnf(text)
-        assert circuit.node(circuit.root).decision == 1
+        assert circuit.node(circuit.root)[3] == 1
         assert write_nnf(circuit) == text + "\n"
 
     def test_dangling_reference(self):
@@ -746,9 +747,9 @@ class TestParseD4:
         # An edge into true is its guard alone.
         circuit = parse_nnf("1 o 0\n2 t 0\n1 2 3 0")
         root = circuit.node(circuit.root)
-        assert root.kind == "O"
-        assert len(root.children) == 1
-        assert circuit.node(root.children[0])[:2] == ("L", 3)
+        assert root[0] == "O"
+        assert len(root[2]) == 1
+        assert circuit.node(root[2][0])[:2] == ("L", 3)
         assert circuit.universe == {1, 2, 3}
 
     @pytest.mark.parametrize(
@@ -767,13 +768,13 @@ class TestParseD4:
     def test_d4_native_token_order(self):
         # real d4 output puts the type letter first
         circuit = parse_nnf("o 1 0\nt 2 0\n1 2 3 0")
-        assert circuit.node(circuit.root).kind == "O"
+        assert circuit.node(circuit.root)[0] == "O"
 
     def test_and_node_flattens_edges(self):
         text = "1 a 0\n2 t 0\n3 t 0\n1 2 1 0\n1 3 2 0"
         circuit = parse_nnf(text)
         root = circuit.node(circuit.root)
-        assert root.kind == "A"
+        assert root[0] == "A"
 
     def test_model_equivalence_with_c2d_writer(self):
         circuit = parse_nnf("1 o 0\n2 t 0\n3 t 0\n1 2 -1 0\n1 3 1 2 0")

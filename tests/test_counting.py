@@ -21,6 +21,7 @@ from ddnnf import (
     weighted_model_count,
 )
 from ddnnf.bench import gen_mutex_cpt, gen_noisy_or, gen_overlapping_disjunction
+from ddnnf.circuit import variables
 from ddnnf.counting import MissingWeightError
 from ddnnf.oracle import CircuitTables, enumerate_models
 
@@ -106,7 +107,7 @@ class TestAnnotate:
         gate_nodes = [
             nid
             for nid in circuit.reachable()
-            if circuit.node(nid).varset == {3, 4, 6}
+            if set(variables(circuit.node(nid)[4])) == {3, 4, 6}
         ]
         assert gate_nodes
         # the component root over {x2, c, d} carries the full gate count
@@ -133,7 +134,7 @@ class TestAnnotate:
             circuit = compile_cnf(cnf)
             counts = annotate_counts(circuit)
             for nid in circuit.reachable():
-                assert counts[nid] <= 1 << len(circuit.node(nid).varset)
+                assert counts[nid] <= 1 << len(set(variables(circuit.node(nid)[4])))
 
     def test_counts_match_oracle_tables(self):
         # A node's table ranges over the variables the root mentions, so it
@@ -148,7 +149,7 @@ class TestAnnotate:
                 counts = annotate_counts(circuit)
                 assert counts.keys() == set(circuit.reachable())
                 for nid in circuit.reachable():
-                    free = len(tables.order) - len(circuit.node(nid).varset)
+                    free = len(tables.order) - len(set(variables(circuit.node(nid)[4])))
                     assert counts[nid] << free == tables.tables[nid].bit_count()
                 count = model_count(circuit)
                 assert type(count) is int
@@ -394,26 +395,26 @@ def _sequential_wmc(circuit, weights):
 
     values = {}
     for nid in circuit.reachable():
-        node = circuit.node(nid)
-        if node.kind == "T":
+        kind, lit, children, _, mask = circuit.node(nid)
+        if kind == "T":
             values[nid] = 1
-        elif node.kind == "F":
+        elif kind == "F":
             values[nid] = 0
-        elif node.kind == "L":
-            values[nid] = weights.weight(node.lit)
-        elif node.kind == "A":
+        elif kind == "L":
+            values[nid] = weights.weight(lit)
+        elif kind == "A":
             product = 1
-            for c in node.children:
+            for c in children:
                 product = product * values[c]
             values[nid] = product
         else:
             # sum(), as the library adds: Python 3.12 compensates float sums.
             values[nid] = sum(
-                [values[c] * gap_factor(node.varset - circuit.node(c).varset)
-                 for c in node.children]
+                [values[c] * gap_factor(set(variables(mask)) - set(variables(circuit.node(c)[4])))
+                 for c in children]
             )
     root = circuit.node(circuit.root)
-    total = values[circuit.root] * gap_factor(circuit.universe - root.varset)
+    total = values[circuit.root] * gap_factor(circuit.universe - set(variables(root[4])))
     exact = [w for w in (*weights.literal_weights.values(), weights.default) if w is not None]
     if all(isinstance(w, (int, Fraction)) for w in exact) and any(
         isinstance(w, Fraction) for w in exact

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import signal
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -387,6 +388,36 @@ def test_formula_passes_pinned():
         for k, rec in records.items():
             digests[k].update((json.dumps(rec) + "\n").encode())
     assert {k: d.hexdigest() for k, d in digests.items()} == PINNED_SHA256
+
+
+@pytest.fixture
+def alarm():
+    """``alarm(seconds)`` raises ``TimeoutError`` in the test once that many
+    seconds have passed: a bound on a walk that would otherwise never end."""
+
+    def expire(signum, frame):
+        raise TimeoutError("walk did not finish")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_shared_sub_objects_are_read_once(alarm):
+    # g = (g | x_i) & (g | !x_i): a tree walk reads the innermost g 2^depth
+    # times, which at depth 40 would never end.
+    depth = 40
+    g = Var("x0")
+    for i in range(1, depth + 1):
+        x = Var(f"x{i}")
+        g = And((Or((g, x)), Or((g, Not(x)))))
+    names = [f"x{i}" for i in range(depth + 1)]
+    alarm(20)
+    assert vars_of(g) == set(names)
+    out = tseitin_transform(g)
+    assert list(out.var_map) == names
+    assert out.cnf.num_vars < 4 * depth + 1
 
 
 def _encode_within_oracle_bound(f):

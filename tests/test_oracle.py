@@ -182,7 +182,7 @@ def _sparse_circuit(rng: random.Random) -> Circuit:
     for _ in range(rng.randint(0, 8)):
         distinct = list(dict.fromkeys(nodes))  # a node found again is listed again
         kids = rng.sample(distinct, rng.randint(1, min(3, len(distinct))))
-        disjoint = not any(c.node(a).mask & c.node(b).mask for a, b in combinations(kids, 2))
+        disjoint = not any(c.node(a)[4] & c.node(b)[4] for a, b in combinations(kids, 2))
         nodes.append(c.add_and(kids) if rng.random() < 0.5 and disjoint else c.add_or(kids))
     c.set_root(nodes[-1])
     return c

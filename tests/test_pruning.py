@@ -21,7 +21,9 @@ from ddnnf import (
 )
 from ddnnf.bench import gen_mutex_cpt, gen_noisy_or, gen_overlapping_disjunction
 from ddnnf.oracle import check_exists_equiv, enumerate_models
+from ddnnf import pruning
 from ddnnf.pruning import (
+    PruneVerificationError,
     artifact_flags,
     detect_artifacts,
     exists_quantify,
@@ -54,22 +56,22 @@ class TestExistsQuantify:
         c.set_root(c.add_literal(1))
         out = exists_quantify(c, {1})
         root = out.node(out.root)
-        assert (root.kind, root.children) == ("A", ())
+        assert (root[0], root[2]) == ("A", ())
         assert out.universe == frozenset()
 
     def test_and_with_quantified_literal(self):
         c = Circuit({1, 2})
         c.set_root(c.add_and([c.add_literal(1), c.add_literal(2)]))
         out = exists_quantify(c, {1})
-        assert out.node(out.root).kind == "L"
-        assert out.node(out.root).lit == 2
+        assert out.node(out.root)[0] == "L"
+        assert out.node(out.root)[1] == 2
 
     def test_or_collapses_on_true(self):
         c = Circuit({1, 2})
         c.set_root(c.add_or([c.add_literal(1), c.add_literal(2)]))
         out = exists_quantify(c, {1})
         root = out.node(out.root)
-        assert (root.kind, root.children) == ("A", ())
+        assert (root[0], root[2]) == ("A", ())
 
     def test_count_unchanged_on_encoded_overlap(self):
         circuit = _overlap_circuit()
@@ -407,6 +409,18 @@ class TestSizeAfterExists:
         report = self._check(parse_nnf(NESTED_ROOTS_C2D))
         assert report.artifact_node_ids == [10, 12]
         assert (report.size_after_exists, report.size_after_artifacts) == (7, 1)
+
+    def test_size_order_is_guarded(self, monkeypatch):
+        # after_t <= after_p <= before, or prune raises naming all three.
+        circuit = parse_nnf(SHARED_ARTIFACT_C2D)
+        before = size(circuit)
+        monkeypatch.setattr(pruning, "_size_quantified", lambda *args: before + 1)
+        with pytest.raises(PruneVerificationError) as raised:
+            prune(circuit)
+        assert str(raised.value) == (
+            "size regression: before=9 after_p=10 after_t=4 artifacts=1 "
+            "frac_p=1.1111 frac_t=0.4444"
+        )
 
     @pytest.mark.parametrize("formula", [gen_noisy_or(128), gen_overlapping_disjunction(150)],
                              ids=["noisy_or_n128", "overlap_n150"])

@@ -22,12 +22,12 @@ def _dfs(circuit, root, stop=frozenset()):
             continue
         seen.add(nid)
         if nid not in stop:
-            stack.extend(circuit.node(nid).children)
+            stack.extend(circuit.node(nid)[2])
     return seen
 
 
 def _dfs_size(circuit, root):
-    return sum(max(len(circuit.node(nid).children) - 1, 0) for nid in _dfs(circuit, root))
+    return sum(max(len(circuit.node(nid)[2]) - 1, 0) for nid in _dfs(circuit, root))
 
 
 def _random_arena(rng, num_vars=10, num_nodes=80):
@@ -46,9 +46,9 @@ def _random_arena(rng, num_vars=10, num_nodes=80):
         if rng.random() < 0.5:
             kids, used = [], 0
             for nid in picks:
-                if not c.node(nid).mask & used:
+                if not c.node(nid)[4] & used:
                     kids.append(nid)
-                    used |= c.node(nid).mask
+                    used |= c.node(nid)[4]
             c.add_and(kids)
         else:
             c.add_or(picks)
@@ -69,7 +69,7 @@ def test_reachable_and_size_match_dfs():
             expected = _dfs(c, root)
             assert c.reachable() == tuple(sorted(expected))
             assert size(c) == _dfs_size(c, root)
-            edges = sum(len(c.node(nid).children) for nid in expected)
+            edges = sum(len(c.node(nid)[2]) for nid in expected)
             assert f" nodes={len(expected)} edges={edges} " in stats_line(c)
             unreachable += len(c) - len(expected)
     assert unreachable > 0
